@@ -2,80 +2,12 @@
 
 The package simulates a base station that picks DFT codebook beams for N
 simultaneous users, trading search time against payload throughput, and ships
-a Monte Carlo harness plus a CLI for the standard experiment recipes.
+a Monte Carlo harness plus a CLI for the standard experiment recipes. Import
+from the submodules: ``beamsel.core``, ``beamsel.channel``,
+``beamsel.codebook``, ``beamsel.metrics``, ``beamsel.search``,
+``beamsel.harness`` and ``beamsel.cli``.
 """
 
 from ._version import __version__
-from .channel import (
-    ChannelRealization,
-    build_los,
-    compose_channel,
-    realize_channel,
-    sample_nlos,
-    stream_rng,
-)
-from .codebook import Codebook, build_dft_codebook, materialize
-from .core import (
-    BeamSelection,
-    ComplexMatrix,
-    ConfigError,
-    DimensionError,
-    IDEAL_PA,
-    PaParams,
-    SystemConfig,
-    db_to_linear,
-    linear_to_db,
-    matmul,
-    validate_config,
-)
-from .harness import (
-    ExperimentConfig,
-    ExperimentResult,
-    SweepPointResult,
-    convergence_iteration,
-    rate_cdf,
-    run_experiment,
-    write_result_files,
-)
-from .metrics import (
-    Objective,
-    ObjectiveKind,
-    SaturationError,
-    channel_gain,
-    evaluate_objective,
-    outage_throughput,
-    pa_consumed_power,
-    pa_effective_efficiency,
-    pa_output_power,
-    rates,
-    served_stats,
-    sinr,
-    throughput,
-)
-from .search import (
-    GaParams,
-    GaTrajectory,
-    SearchSpaceError,
-    SelectionEvaluator,
-    exhaustive_search,
-    ga_run,
-    init_population,
-    mutate,
-    random_search,
-)
 
-__all__ = [
-    "__version__",
-    "BeamSelection", "ComplexMatrix", "ConfigError", "DimensionError", "IDEAL_PA",
-    "PaParams", "SystemConfig", "db_to_linear", "linear_to_db", "matmul", "validate_config",
-    "ChannelRealization", "build_los", "compose_channel", "realize_channel", "sample_nlos",
-    "stream_rng",
-    "Codebook", "build_dft_codebook", "materialize",
-    "Objective", "ObjectiveKind", "SaturationError", "channel_gain", "evaluate_objective",
-    "outage_throughput", "pa_consumed_power", "pa_effective_efficiency", "pa_output_power",
-    "rates", "served_stats", "sinr", "throughput",
-    "GaParams", "GaTrajectory", "SearchSpaceError", "SelectionEvaluator", "exhaustive_search",
-    "ga_run", "init_population", "mutate", "random_search",
-    "ExperimentConfig", "ExperimentResult", "SweepPointResult", "convergence_iteration",
-    "rate_cdf", "run_experiment", "write_result_files",
-]
+__all__ = ["__version__"]

@@ -23,20 +23,11 @@ from pathlib import Path
 import numpy as np
 
 from .channel import STREAM_SEARCH, realize_channel, stream_rng
-from .core import ConfigError, SystemConfig, validate_config
-from .harness import (
-    BASELINE_NAMES,
-    ExperimentConfig,
-    apply_override,
-    coerce_value,
-    run_experiment,
-    write_result_files,
-)
-from .metrics import Objective, ObjectiveKind
+from .core import ConfigError, SystemConfig, require_valid
+from .harness import ExperimentConfig, apply_settings, run_experiment, write_result_files
 from .search import SearchSpaceError, exhaustive_search, ga_run, search_space_size
 
 REQUIRED_KEYS = ("M", "N", "N_vec")
-EXPERIMENT_KEYS = ("objective", "sweep", "sweep_values", "baselines", "convergence_tol")
 
 
 @dataclass(frozen=True)
@@ -58,51 +49,16 @@ def _parse_lines(text: str, source: str) -> dict[str, tuple[str, int]]:
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue
-        if "=" not in stripped:
-            raise ConfigError(f"{source}:{lineno}: expected key = value, got {line.strip()!r}")
-        key, _, raw = stripped.partition("=")
+        key, sep, raw = stripped.partition("=")
         key = key.strip()
         raw = raw.strip()
-        if not key or not raw:
+        if not sep or not key or not raw:
             raise ConfigError(f"{source}:{lineno}: expected key = value, got {line.strip()!r}")
         if key in entries:
             raise ConfigError(f"{source}:{lineno}: duplicate key {key!r} "
                               f"(first set on line {entries[key][1]})")
         entries[key] = (raw, lineno)
     return entries
-
-
-def _build_experiment(entries: dict[str, tuple[str, int]], source: str) -> ExperimentConfig:
-    missing = [k for k in REQUIRED_KEYS if k not in entries]
-    if missing:
-        raise ConfigError(f"{source}: missing required keys: " + ", ".join(missing))
-
-    cfg = SystemConfig(M=1, N=1, N_vec=1)
-    objective = ObjectiveKind.THROUGHPUT
-    sweep_key: str | None = None
-    sweep_values: tuple[float, ...] = ()
-    baselines: tuple[str, ...] = ()
-    convergence_tol = 0.0
-    for key, (raw, lineno) in entries.items():
-        where = f"{source}:{lineno}"
-        try:
-            if key == "objective":
-                objective = ObjectiveKind.from_string(raw)
-            elif key == "sweep":
-                sweep_key = raw
-            elif key == "sweep_values":
-                sweep_values = tuple(float(v) for v in raw.split(","))
-            elif key == "baselines":
-                baselines = tuple(v.strip() for v in raw.split(",") if v.strip())
-            elif key == "convergence_tol":
-                convergence_tol = float(raw)
-            else:
-                cfg = apply_override(cfg, key, raw)
-        except ValueError as exc:
-            raise ConfigError(f"{where}: {exc}") from None
-    return ExperimentConfig(base=cfg, objective_kind=objective, sweep_key=sweep_key,
-                            sweep_values=sweep_values, baselines=baselines,
-                            convergence_tol=convergence_tol)
 
 
 def parse_config(path) -> ExperimentConfig:
@@ -112,37 +68,24 @@ def parse_config(path) -> ExperimentConfig:
         text = p.read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read config file {p}: {exc}") from None
-    return _build_experiment(_parse_lines(text, str(p)), str(p))
+    entries = _parse_lines(text, str(p))
+    missing = [k for k in REQUIRED_KEYS if k not in entries]
+    if missing:
+        raise ConfigError(f"{p}: missing required keys: " + ", ".join(missing))
+    placeholder = ExperimentConfig(base=SystemConfig(M=1, N=1, N_vec=1))
+    return apply_settings(placeholder, [(key, raw, f"{p}:{lineno}")
+                                        for key, (raw, lineno) in entries.items()])
 
 
 def apply_cli_overrides(ec: ExperimentConfig, sets: tuple[str, ...]) -> ExperimentConfig:
-    """Apply --set KEY=VALUE pairs on top of a parsed configuration.
-
-    Experiment-level fields are collected and applied in one step so that
-    ``--set sweep=P_dB --set sweep_values=0,5`` does not trip validation on
-    the intermediate state.
-    """
-    updates: dict[str, object] = {}
-    base = ec.base
+    """Apply --set KEY=VALUE pairs on top of a parsed configuration."""
+    settings = []
     for item in sets:
         if "=" not in item:
             raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
         key, _, raw = item.partition("=")
-        key = key.strip()
-        raw = raw.strip()
-        if key == "objective":
-            updates["objective_kind"] = ObjectiveKind.from_string(raw)
-        elif key == "sweep":
-            updates["sweep_key"] = raw
-        elif key == "sweep_values":
-            updates["sweep_values"] = tuple(float(v) for v in raw.split(","))
-        elif key == "baselines":
-            updates["baselines"] = tuple(v.strip() for v in raw.split(",") if v.strip())
-        elif key == "convergence_tol":
-            updates["convergence_tol"] = float(raw)
-        else:
-            base = apply_override(base, key, raw)
-    return replace(ec, base=base, **updates)
+        settings.append((key.strip(), raw, "--set"))
+    return apply_settings(ec, settings)
 
 
 def _load_experiment(inv: CliInvocation) -> ExperimentConfig:
@@ -153,14 +96,21 @@ def _load_experiment(inv: CliInvocation) -> ExperimentConfig:
     return ec
 
 
-def _print_point_table(result) -> None:
-    print(f"{'sweep_value':>12} {'mean_final_bpcu':>16} {'avg_K*':>8} "
-          f"{'outage_prob':>12} {'avg_served':>11}")
+def _print_point_table(result, convergence_view: bool) -> None:
+    if convergence_view:
+        print(f"{'sweep_value':>12} {'alpha':>9} {'avg_K*':>9} {'avg_K* (alpha=0)':>17}")
+    else:
+        print(f"{'sweep_value':>12} {'mean_final_bpcu':>16} {'avg_K*':>8} "
+              f"{'outage_prob':>12} {'avg_served':>11}")
     for pt in result.points:
         sv = "-" if pt.sweep_value is None else f"{pt.sweep_value:g}"
-        print(f"{sv:>12} {pt.mean_final_throughput:>16.4f} "
-              f"{pt.avg_convergence_iteration:>8.1f} {pt.empirical_outage_prob:>12.4f} "
-              f"{pt.avg_served_users:>11.2f}")
+        if convergence_view:
+            print(f"{sv:>12} {pt.cfg.alpha:>9g} {pt.avg_convergence_iteration:>9.1f} "
+                  f"{pt.avg_convergence_iteration_no_delay:>17.1f}")
+        else:
+            print(f"{sv:>12} {pt.mean_final_throughput:>16.4f} "
+                  f"{pt.avg_convergence_iteration:>8.1f} {pt.empirical_outage_prob:>12.4f} "
+                  f"{pt.avg_served_users:>11.2f}")
     for err in result.errors:
         sv = "-" if err.sweep_value is None else f"{err.sweep_value:g}"
         print(f"point {sv}: FAILED: {err.message}", file=sys.stderr)
@@ -169,21 +119,9 @@ def _print_point_table(result) -> None:
 def _run_and_write(ec: ExperimentConfig, inv: CliInvocation, convergence_view: bool) -> int:
     result = run_experiment(ec, workers=inv.workers)
     written = write_result_files(result, inv.out_dir)
-    if convergence_view:
-        print(f"{'sweep_value':>12} {'alpha':>9} {'avg_K*':>9} {'avg_K* (alpha=0)':>17}")
-        for pt in result.points:
-            sv = "-" if pt.sweep_value is None else f"{pt.sweep_value:g}"
-            print(f"{sv:>12} {pt.cfg.alpha:>9g} {pt.avg_convergence_iteration:>9.1f} "
-                  f"{pt.avg_convergence_iteration_no_delay:>17.1f}")
-        for err in result.errors:
-            sv = "-" if err.sweep_value is None else f"{err.sweep_value:g}"
-            print(f"point {sv}: FAILED: {err.message}", file=sys.stderr)
-    else:
-        _print_point_table(result)
+    _print_point_table(result, convergence_view)
     print(f"wrote {len(written)} files to {Path(inv.out_dir).resolve()}")
-    if result.errors or not result.points:
-        return 1
-    return 0
+    return 1 if result.errors or not result.points else 0
 
 
 def command_run(inv: CliInvocation) -> int:
@@ -211,19 +149,16 @@ def command_convergence(inv: CliInvocation) -> int:
 
 def command_validate(inv: CliInvocation) -> int:
     ec = _load_experiment(inv)
+    points = ec.points()
     ok = True
-    for sweep_value, cfg in ec.points():
-        violations = validate_config(cfg)
+    for sweep_value, cfg in points:
         label = "base config" if sweep_value is None else f"sweep point {ec.sweep_key}={sweep_value:g}"
-        if violations:
+        for v in ec.violations(cfg):
             ok = False
-            for v in violations:
-                print(f"{label}: {v}")
+            print(f"{label}: {v}")
     if ok:
-        n = len(ec.points())
-        print(f"configuration valid ({n} point{'s' if n != 1 else ''})")
-        return 0
-    return 1
+        print(f"configuration valid ({len(points)} point{'s' if len(points) != 1 else ''})")
+    return 0 if ok else 1
 
 
 def command_oracle_check(inv: CliInvocation, attainment_threshold: float = 0.95,
@@ -235,16 +170,13 @@ def command_oracle_check(inv: CliInvocation, attainment_threshold: float = 0.95,
     when the attainment fraction reaches the threshold.
     """
     ec = _load_experiment(inv)
-    cfg = ec.base
-    violations = validate_config(cfg)
-    if violations:
-        raise ConfigError("invalid configuration: " + "; ".join(violations))
+    cfg = require_valid(ec.base)
+    obj = ec.objective_for(cfg)
     size = search_space_size(cfg)
     attained = 0
     gaps = []
     for r in range(cfg.realizations):
         ch = realize_channel(cfg, r)
-        obj = Objective(kind=ec.objective_kind, alpha=cfg.alpha, theta_dB=cfg.theta_dB)
         _, opt = exhaustive_search(cfg, ch.H, obj)
         traj = ga_run(cfg, ch.H, obj, stream_rng(cfg.seed, r, STREAM_SEARCH))
         found = traj.final_raw

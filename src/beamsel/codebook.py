@@ -1,4 +1,4 @@
-"""DFT beam codebook construction and column selection."""
+"""DFT beam codebook construction."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BeamSelection, ComplexMatrix
+from .core import ComplexMatrix
 
 
 @dataclass(frozen=True)
@@ -40,8 +40,3 @@ def build_dft_codebook(m: int, n_vec: int) -> Codebook:
     w = np.exp(-2j * np.pi * rows * cols / n_vec)
     return Codebook(ComplexMatrix(w))
 
-
-def materialize(cb: Codebook, sel: BeamSelection) -> ComplexMatrix:
-    """Assemble the M x N beamforming matrix whose column i is codebook column sel[i]."""
-    sel.check_range(cb.n_vec)
-    return ComplexMatrix(cb.w.data[:, sel.as_array()])

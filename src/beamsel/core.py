@@ -28,12 +28,13 @@ def linear_to_db(x: float) -> float:
     return float(10.0 * math.log10(x))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ComplexMatrix:
     """Immutable dense complex matrix.
 
     Thin wrapper around a 2-D complex128 array. Entries must be finite;
     the backing array is made read-only so instances can be shared freely.
+    Instances compare by identity.
     """
 
     data: np.ndarray
@@ -60,27 +61,6 @@ class ComplexMatrix:
     @property
     def shape(self) -> tuple[int, int]:
         return self.data.shape
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ComplexMatrix):
-            return NotImplemented
-        return self.shape == other.shape and bool(np.array_equal(self.data, other.data))
-
-    def __hash__(self) -> int:
-        return hash((self.shape, self.data.tobytes()))
-
-
-def matmul(a: ComplexMatrix, b: ComplexMatrix) -> ComplexMatrix:
-    """Matrix product a @ b with an explicit shape check."""
-    if a.cols != b.rows:
-        raise DimensionError(
-            f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}: inner dimensions differ"
-        )
-    return ComplexMatrix(a.data @ b.data)
-
-
-def identity(n: int) -> ComplexMatrix:
-    return ComplexMatrix(np.eye(n, dtype=np.complex128))
 
 
 @dataclass(frozen=True)
@@ -184,8 +164,8 @@ def validate_config(cfg: SystemConfig) -> list[str]:
         errs.append(f"0 < mutation_fraction <= 1 violated (mutation_fraction={cfg.mutation_fraction})")
     if not 0.0 < cfg.pa.epsilon <= 1.0:
         errs.append(f"0 < pa.epsilon <= 1 violated (epsilon={cfg.pa.epsilon})")
-    if not 0.0 <= cfg.pa.mu <= 1.0:
-        errs.append(f"0 <= pa.mu <= 1 violated (mu={cfg.pa.mu})")
+    if not 0.0 <= cfg.pa.mu < 1.0:
+        errs.append(f"0 <= pa.mu < 1 violated (mu={cfg.pa.mu})")
     if not cfg.pa.rho_max_dB > -math.inf or math.isnan(cfg.pa.rho_max_dB):
         errs.append(f"pa.rho_max_dB must not be NaN or -inf (rho_max_dB={cfg.pa.rho_max_dB})")
     if cfg.realizations < 1:
@@ -194,6 +174,16 @@ def validate_config(cfg: SystemConfig) -> list[str]:
         errs.append(f"seed must fit in an unsigned 64-bit integer (seed={cfg.seed})")
     if cfg.los_formula not in ("normalized", "verbatim"):
         errs.append(f"los_formula must be 'normalized' or 'verbatim' (got {cfg.los_formula!r})")
+    if not errs:
+        # Whether the amplifier can deliver the budget (mu > 0 needs a finite
+        # saturation power, and the output must stay below it) is decided by
+        # the amplifier model itself. Imported here: metrics imports core.
+        from .metrics import pa_output_power
+
+        try:
+            pa_output_power(cfg.P_linear, cfg.pa)
+        except (ValueError, OverflowError) as exc:
+            errs.append(f"{type(exc).__name__}: {exc}")
     return errs
 
 

@@ -11,65 +11,112 @@ import json
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from ._version import __version__
 from .channel import STREAM_BASELINE, STREAM_SEARCH, realize_channel, stream_rng
-from .core import ConfigError, PaParams, SystemConfig, validate_config
+from .core import ConfigError, SystemConfig, validate_config
 from .metrics import Objective, ObjectiveKind, SaturationError, served_stats
 from .search import (
+    EXHAUSTIVE_CAP,
     GaTrajectory,
     SearchSpaceError,
     SelectionEvaluator,
     exhaustive_search,
     ga_run,
     random_search,
+    search_space_size,
 )
 
-# Config keys the file parser, --set overrides, and sweeps all share.
-INT_KEYS = ("M", "N", "N_vec", "N_it", "L", "S", "realizations", "seed")
-FLOAT_KEYS = ("k", "beta", "P_dB", "alpha", "mutation_fraction", "theta_dB")
-PA_KEYS = {"pa_epsilon": "epsilon", "pa_mu": "mu", "pa_rho_max_dB": "rho_max_dB"}
-STR_KEYS = ("los_formula",)
-SWEEPABLE_KEYS = INT_KEYS + FLOAT_KEYS + tuple(PA_KEYS)
+
+class ConfigKey(NamedTuple):
+    """How one config key is parsed and which dataclass field it sets."""
+
+    parse: Callable[[str], object]
+    owner: str   # "system" (SystemConfig), "pa" (SystemConfig.pa) or "experiment"
+    field: str
+
+
+def _list_of(parse: Callable[[str], object]) -> Callable[[str], tuple]:
+    """Parser for a comma-separated list; empty items are skipped."""
+    return lambda raw: tuple(parse(v.strip()) for v in raw.split(",") if v.strip())
+
+
+# The one table of config keys. The config file, --set overrides, sweeps and
+# the provenance sidecar all read it.
+CONFIG_KEYS: dict[str, ConfigKey] = {
+    **{k: ConfigKey(int, "system", k) for k in ("M", "N", "N_vec", "N_it", "L", "S",
+                                                "realizations", "seed")},
+    **{k: ConfigKey(float, "system", k) for k in ("k", "beta", "P_dB", "alpha",
+                                                  "mutation_fraction", "theta_dB")},
+    "pa_epsilon": ConfigKey(float, "pa", "epsilon"),
+    "pa_mu": ConfigKey(float, "pa", "mu"),
+    "pa_rho_max_dB": ConfigKey(float, "pa", "rho_max_dB"),
+    "los_formula": ConfigKey(str, "system", "los_formula"),
+    "objective": ConfigKey(ObjectiveKind.from_string, "experiment", "objective_kind"),
+    "sweep": ConfigKey(str, "experiment", "sweep_key"),
+    "sweep_values": ConfigKey(_list_of(float), "experiment", "sweep_values"),
+    "baselines": ConfigKey(_list_of(str), "experiment", "baselines"),
+    "convergence_tol": ConfigKey(float, "experiment", "convergence_tol"),
+}
+SWEEPABLE_KEYS = tuple(k for k, e in CONFIG_KEYS.items()
+                       if e.owner != "experiment" and e.parse in (int, float))
 BASELINE_NAMES = ("random", "exhaustive")
 
 
 def coerce_value(key: str, raw: str):
-    """Parse a raw string for a SystemConfig key into its proper type."""
+    """Parse a raw string for any config key into its proper type."""
+    entry = CONFIG_KEYS.get(key)
+    if entry is None:
+        raise ConfigError(f"unknown configuration key {key!r}; known keys: " + ", ".join(CONFIG_KEYS))
     raw = raw.strip()
     try:
-        if key in INT_KEYS:
-            return int(raw)
-        if key in FLOAT_KEYS or key in PA_KEYS:
-            return float(raw)
-        if key in STR_KEYS:
-            return raw
-    except ValueError:
-        raise ConfigError(f"cannot parse value {raw!r} for key {key!r}") from None
-    raise ConfigError(f"unknown configuration key {key!r}; known keys: "
-                      + ", ".join(INT_KEYS + FLOAT_KEYS + tuple(PA_KEYS) + STR_KEYS))
+        return entry.parse(raw)
+    except ValueError as exc:
+        raise ConfigError(f"cannot parse value {raw!r} for key {key!r}: {exc}") from None
 
 
 def apply_override(cfg: SystemConfig, key: str, value) -> SystemConfig:
-    """Return cfg with one key replaced; accepts already-typed or string values."""
+    """Return cfg with one scenario key replaced; accepts already-typed or string values."""
     if isinstance(value, str):
         value = coerce_value(key, value)
-    if key in INT_KEYS:
-        as_int = int(value)
-        if as_int != value:
+    entry = CONFIG_KEYS.get(key)
+    if entry is None or entry.owner == "experiment":
+        raise ConfigError(f"{key!r} is not a scenario configuration key")
+    if entry.parse is int:
+        if isinstance(value, float) and not value.is_integer():
             raise ConfigError(f"key {key!r} takes an integer, got {value!r}")
-        return cfg.with_overrides(**{key: as_int})
-    if key in FLOAT_KEYS:
-        return cfg.with_overrides(**{key: float(value)})
-    if key in PA_KEYS:
-        return cfg.with_overrides(**{PA_KEYS[key]: float(value)})
-    if key in STR_KEYS:
-        return cfg.with_overrides(**{key: value})
-    raise ConfigError(f"unknown configuration key {key!r}")
+        value = int(value)
+    elif entry.parse is float:
+        value = float(value)
+    return cfg.with_overrides(**{entry.field: value})
+
+
+def apply_settings(ec: ExperimentConfig, settings) -> ExperimentConfig:
+    """Apply (key, raw value, where) triples from a config file or --set.
+
+    Scenario keys are applied one by one. Experiment-level fields are
+    collected and the ExperimentConfig is rebuilt once at the end, so that
+    ``sweep`` set before ``sweep_values`` does not fail validation halfway.
+    Parse errors name ``where``: the file and line, or ``--set``.
+    """
+    base = ec.base
+    updates: dict[str, object] = {}
+    for key, raw, where in settings:
+        try:
+            value = coerce_value(key, raw)
+            entry = CONFIG_KEYS[key]
+            if entry.owner == "experiment":
+                updates[entry.field] = value
+            else:
+                base = apply_override(base, key, value)
+        except ValueError as exc:
+            raise ConfigError(f"{where}: {exc}") from None
+    return replace(ec, base=base, **updates)
 
 
 @dataclass(frozen=True)
@@ -103,6 +150,14 @@ class ExperimentConfig:
 
     def objective_for(self, cfg: SystemConfig) -> Objective:
         return Objective(kind=self.objective_kind, alpha=cfg.alpha, theta_dB=cfg.theta_dB)
+
+    def violations(self, cfg: SystemConfig) -> list[str]:
+        """Why this experiment cannot run the point cfg; empty when it can."""
+        errs = validate_config(cfg)
+        if not errs and "exhaustive" in self.baselines and search_space_size(cfg) > EXHAUSTIVE_CAP:
+            errs.append(f"exhaustive baseline needs {search_space_size(cfg)} ordered selections, "
+                        f"more than its cap of {EXHAUSTIVE_CAP}; shrink N_vec/N")
+        return errs
 
 
 def convergence_iteration(traj: GaTrajectory, alpha: float | None = None, tol: float = 0.0) -> int:
@@ -149,22 +204,20 @@ class RealizationOutcome:
     baseline_scores: dict[str, float]
 
 
-def _run_realization(cfg: SystemConfig, kind: ObjectiveKind, index: int,
-                     baselines: tuple[str, ...], tol: float) -> RealizationOutcome:
+def _run_realization(ec: ExperimentConfig, cfg: SystemConfig, index: int) -> RealizationOutcome:
     ch = realize_channel(cfg, index)
-    obj = Objective(kind=kind, alpha=cfg.alpha, theta_dB=cfg.theta_dB)
+    obj = ec.objective_for(cfg)
     traj = ga_run(cfg, ch.H, obj, stream_rng(cfg.seed, index, STREAM_SEARCH))
     weighted = traj.weighted_scores()
     kstar = convergence_iteration(traj)
-    kstar0 = convergence_iteration(traj, alpha=0.0, tol=tol)
-    ev = SelectionEvaluator(cfg, ch.H, obj)
-    user_rates = ev.rates_for(traj.queens[kstar - 1] - 1)
+    kstar0 = convergence_iteration(traj, alpha=0.0, tol=ec.convergence_tol)
+    user_rates = SelectionEvaluator(cfg, ch.H, obj).evaluate(traj.queens[kstar - 1] - 1).user_rates[0]
     served, flags = served_stats(user_rates, cfg.theta_dB)
     constrained = np.where(flags, 0.0, user_rates)
     baseline_scores: dict[str, float] = {}
-    if baselines:
+    if ec.baselines:
         brng = stream_rng(cfg.seed, index, STREAM_BASELINE)
-        for name in baselines:
+        for name in ec.baselines:
             if name == "random":
                 _, score = random_search(cfg, ch.H, obj, budget=cfg.L * cfg.N_it, rng=brng)
             else:
@@ -296,19 +349,18 @@ def run_experiment(ec: ExperimentConfig, workers: int = 1) -> ExperimentResult:
     try:
         for sweep_value, cfg in ec.points():
             t0 = time.perf_counter()
-            violations = validate_config(cfg)
+            violations = ec.violations(cfg)
             if violations:
                 result.errors.append(PointError(sweep_value, "invalid configuration: " + "; ".join(violations)))
                 continue
-            jobs = [(cfg, ec.objective_kind, r, ec.baselines, ec.convergence_tol)
-                    for r in range(cfg.realizations)]
+            jobs = [(ec, cfg, r) for r in range(cfg.realizations)]
             try:
                 if pool is None:
                     outcomes = [_realization_job(j) for j in jobs]
                 else:
                     chunk = max(1, len(jobs) // (workers * 4))
                     outcomes = list(pool.map(_realization_job, jobs, chunksize=chunk))
-            except (SaturationError, SearchSpaceError, ConfigError, ValueError) as exc:
+            except (SaturationError, SearchSpaceError, ConfigError) as exc:
                 result.errors.append(PointError(sweep_value, f"{type(exc).__name__}: {exc}"))
                 continue
             result.points.append(_aggregate(sweep_value, cfg, outcomes, time.perf_counter() - t0))
@@ -338,13 +390,8 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
 
 
 def _config_as_dict(cfg: SystemConfig) -> dict:
-    d = {
-        "M": cfg.M, "N": cfg.N, "N_vec": cfg.N_vec, "k": cfg.k, "beta": cfg.beta,
-        "P_dB": cfg.P_dB, "alpha": cfg.alpha, "N_it": cfg.N_it, "L": cfg.L, "S": cfg.S,
-        "mutation_fraction": cfg.mutation_fraction, "theta_dB": cfg.theta_dB,
-        "realizations": cfg.realizations, "seed": cfg.seed, "los_formula": cfg.los_formula,
-        "pa_epsilon": cfg.pa.epsilon, "pa_mu": cfg.pa.mu, "pa_rho_max_dB": cfg.pa.rho_max_dB,
-    }
+    d = {key: getattr(cfg.pa if e.owner == "pa" else cfg, e.field)
+         for key, e in CONFIG_KEYS.items() if e.owner != "experiment"}
     # JSON has no inf literal; keep the sidecar loadable by strict parsers.
     if math.isinf(d["pa_rho_max_dB"]):
         d["pa_rho_max_dB"] = "inf"

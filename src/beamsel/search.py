@@ -30,38 +30,18 @@ class SearchSpaceError(ValueError):
     """The exhaustive search space is too large to enumerate."""
 
 
-@dataclass(frozen=True)
-class GaParams:
-    """Genetic algorithm knobs, split out from SystemConfig for direct use."""
+# Largest ordered search space exhaustive_search enumerates by default.
+EXHAUSTIVE_CAP = 1_000_000
+CHUNK = 4096  # selections scored per evaluate call by the baselines
 
-    L: int = 10                # population size
-    S: int = 5                 # mutants of the Queen per generation
-    N_it: int = 500            # generations
-    mutation_fraction: float = 0.10
 
-    def __post_init__(self) -> None:
-        if self.L < 2:
-            raise ValueError(f"population needs at least 2 members, got L={self.L}")
-        if self.S < 0:
-            raise ValueError(f"mutant count cannot be negative, got S={self.S}")
-        if not self.S + 1 < self.L:
-            raise ValueError(f"need S + 1 < L so each generation has a fresh member (S={self.S}, L={self.L})")
-        if self.N_it < 1:
-            raise ValueError(f"need at least one iteration, got N_it={self.N_it}")
-        if not 0.0 < self.mutation_fraction <= 1.0:
-            raise ValueError(f"mutation_fraction must be in (0, 1], got {self.mutation_fraction}")
+def n_replaced(mutation_fraction: float, n: int) -> int:
+    """How many beam slots one mutation replaces: ceil(fraction * n), at least 1.
 
-    @classmethod
-    def from_config(cls, cfg: SystemConfig) -> "GaParams":
-        return cls(L=cfg.L, S=cfg.S, N_it=cfg.N_it, mutation_fraction=cfg.mutation_fraction)
-
-    def n_replaced(self, n: int) -> int:
-        """How many beam slots one mutation replaces: ceil(fraction * n), at least 1.
-
-        The small bias term keeps products like 0.1 * 20 from ceiling up to 3
-        due to binary representation.
-        """
-        return max(1, math.ceil(self.mutation_fraction * n - 1e-9))
+    The small bias term keeps products like 0.1 * 20 from ceiling up to 3
+    due to binary representation.
+    """
+    return max(1, math.ceil(mutation_fraction * n - 1e-9))
 
 
 @dataclass(frozen=True)
@@ -109,8 +89,6 @@ class SelectionEvaluator:
         self._p_over_m = pa_output_power(cfg.P_linear, cfg.pa) / cfg.M
         self._min_rate = min_rate_for_threshold(objective.theta_dB)
         self.objective = objective
-        self.n = cfg.N
-        self.n_vec = cfg.N_vec
 
     def evaluate(self, selections: np.ndarray) -> EvalBatch:
         """Score a (B, N) array of 0-based selections."""
@@ -137,10 +115,6 @@ class SelectionEvaluator:
         return EvalBatch(kind=kind, user_rates=user_rates, raw=raw,
                          weighted_base=base, served=served, total_sum=total_sum)
 
-    def rates_for(self, selection: np.ndarray) -> np.ndarray:
-        """Per-user rates of one 0-based selection."""
-        return self.evaluate(np.asarray(selection, dtype=np.int64)[None, :]).user_rates[0]
-
 
 def _draw_selection(n: int, n_vec: int, rng: np.random.Generator) -> np.ndarray:
     """One uniform ordered selection of n distinct columns out of n_vec (0-based)."""
@@ -166,10 +140,11 @@ def mutate(parent: np.ndarray, cfg: SystemConfig, rng: np.random.Generator) -> n
     n = parent.size
     child = parent.copy()
     if cfg.N_vec == n:
-        i, j = rng.choice(n, size=2, replace=False)
-        child[i], child[j] = child[j], child[i]
+        if n > 1:  # a single-column codebook has one selection, so the child is a copy
+            i, j = rng.choice(n, size=2, replace=False)
+            child[i], child[j] = child[j], child[i]
         return child
-    n_rep = GaParams.from_config(cfg).n_replaced(n)
+    n_rep = n_replaced(cfg.mutation_fraction, n)
     positions = rng.choice(n, size=n_rep, replace=False)
     in_use = set(child.tolist())
     for p in positions:
@@ -238,29 +213,28 @@ def ga_run(cfg: SystemConfig, h: ComplexMatrix, objective: Objective,
     raw score non-decreasing across iterations.
     """
     require_valid(cfg)
-    params = GaParams.from_config(cfg)
     ev = SelectionEvaluator(cfg, h, objective)
     pop = init_population(cfg, rng)
-    queens = np.empty((params.N_it, cfg.N), dtype=np.int64)
-    raw = np.empty(params.N_it, dtype=np.float64)
-    base = np.empty(params.N_it, dtype=np.float64)
-    for it in range(params.N_it):
+    queens = np.empty((cfg.N_it, cfg.N), dtype=np.int64)
+    raw = np.empty(cfg.N_it, dtype=np.float64)
+    base = np.empty(cfg.N_it, dtype=np.float64)
+    for it in range(cfg.N_it):
         batch = ev.evaluate(pop)
         b = batch.best_index()
         queens[it] = pop[b]
         raw[it] = batch.raw[b]
         base[it] = batch.weighted_base[b]
-        if it + 1 == params.N_it:
+        if it + 1 == cfg.N_it:
             break
         nxt = np.empty_like(pop)
         nxt[0] = pop[b]
-        for s in range(params.S):
+        for s in range(cfg.S):
             nxt[1 + s] = mutate(pop[b], cfg, rng)
-        for i in range(params.S + 1, params.L):
+        for i in range(cfg.S + 1, cfg.L):
             nxt[i] = _draw_selection(cfg.N, cfg.N_vec, rng)
         pop = nxt
     return GaTrajectory(queens=queens + 1, raw_scores=raw, weighted_bases=base,
-                        alpha=objective.alpha, L=params.L)
+                        alpha=objective.alpha, L=cfg.L)
 
 
 def search_space_size(cfg: SystemConfig) -> int:
@@ -268,8 +242,26 @@ def search_space_size(cfg: SystemConfig) -> int:
     return math.perm(cfg.N_vec, cfg.N)
 
 
+def _best_of_chunks(ev: SelectionEvaluator, chunks):
+    """Score each (B, N) chunk of 0-based selections and return (best, score).
+
+    Ties resolve to the earliest member: within a chunk through best_index,
+    across chunks because only a strictly better score replaces the best.
+    """
+    best_sel: np.ndarray | None = None
+    best_cmp = None
+    for arr in chunks:
+        batch = ev.evaluate(arr)
+        i = batch.best_index()
+        cmp = batch.comparable(i)
+        if best_cmp is None or cmp > best_cmp:
+            best_cmp = cmp
+            best_sel = arr[i]
+    return BeamSelection.from_array(best_sel), best_cmp
+
+
 def exhaustive_search(cfg: SystemConfig, h: ComplexMatrix, objective: Objective,
-                      cap: int = 1_000_000):
+                      cap: int = EXHAUSTIVE_CAP):
     """Enumerate every ordered selection and return (best, score).
 
     The score is the undiscounted objective: a float for the rate objectives,
@@ -284,22 +276,13 @@ def exhaustive_search(cfg: SystemConfig, h: ComplexMatrix, objective: Objective,
             f"{size} ordered selections exceed the exhaustive cap of {cap}; "
             f"shrink N_vec/N or raise cap explicitly"
         )
-    ev = SelectionEvaluator(cfg, h, objective)
-    best_sel: np.ndarray | None = None
-    best_cmp = None
     perms = itertools.permutations(range(cfg.N_vec), cfg.N)
-    while True:
-        chunk = list(itertools.islice(perms, 4096))
-        if not chunk:
-            break
-        arr = np.asarray(chunk, dtype=np.int64)
-        batch = ev.evaluate(arr)
-        i = batch.best_index()
-        cmp = batch.comparable(i)
-        if best_cmp is None or cmp > best_cmp:
-            best_cmp = cmp
-            best_sel = arr[i]
-    return BeamSelection.from_array(best_sel), best_cmp
+
+    def chunks():
+        while chunk := list(itertools.islice(perms, CHUNK)):
+            yield np.asarray(chunk, dtype=np.int64)
+
+    return _best_of_chunks(SelectionEvaluator(cfg, h, objective), chunks())
 
 
 def random_search(cfg: SystemConfig, h: ComplexMatrix, objective: Objective,
@@ -312,20 +295,12 @@ def random_search(cfg: SystemConfig, h: ComplexMatrix, objective: Objective,
     require_valid(cfg)
     if budget < 1:
         raise ValueError(f"budget must be at least 1, got {budget}")
-    ev = SelectionEvaluator(cfg, h, objective)
-    best_sel: np.ndarray | None = None
-    best_cmp = None
-    remaining = budget
-    while remaining > 0:
-        b = min(remaining, 4096)
-        arr = np.empty((b, cfg.N), dtype=np.int64)
-        for i in range(b):
-            arr[i] = _draw_selection(cfg.N, cfg.N_vec, rng)
-        batch = ev.evaluate(arr)
-        i = batch.best_index()
-        cmp = batch.comparable(i)
-        if best_cmp is None or cmp > best_cmp:
-            best_cmp = cmp
-            best_sel = arr[i]
-        remaining -= b
-    return BeamSelection.from_array(best_sel), best_cmp
+
+    def chunks():
+        for start in range(0, budget, CHUNK):
+            arr = np.empty((min(CHUNK, budget - start), cfg.N), dtype=np.int64)
+            for i in range(arr.shape[0]):
+                arr[i] = _draw_selection(cfg.N, cfg.N_vec, rng)
+            yield arr
+
+    return _best_of_chunks(SelectionEvaluator(cfg, h, objective), chunks())

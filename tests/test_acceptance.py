@@ -26,15 +26,9 @@ from beamsel.channel import (
 from beamsel.cli import main as cli_main
 from beamsel.core import BeamSelection, PaParams, SystemConfig
 from beamsel.harness import ExperimentConfig, convergence_iteration, run_experiment
-from beamsel.metrics import (
-    Objective,
-    ObjectiveKind,
-    outage_throughput,
-    pa_consumed_power,
-    pa_output_power,
-    throughput,
-)
+from beamsel.metrics import Objective, ObjectiveKind, pa_consumed_power, pa_output_power
 from beamsel.search import exhaustive_search, ga_run, mutate
+from scalar_oracle import outage_throughput, throughput
 
 SEED = 12345
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"

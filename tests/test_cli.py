@@ -120,6 +120,15 @@ def test_cli_overrides(tmp_path):
         apply_cli_overrides(ec, ("M",))
     with pytest.raises(ConfigError):
         apply_cli_overrides(ec, ("bandwidth=20",))
+    for bad in ("objective=bogus", "sweep_values=a,b", "convergence_tol=x"):
+        with pytest.raises(ConfigError, match="--set"):
+            apply_cli_overrides(ec, (bad,))
+
+
+def test_unparsable_override_exits_with_error(tmp_path, capsys):
+    p = _write(tmp_path, TINY_CONFIG)
+    assert main(["validate", "--config", str(p), "--set", "objective=bogus"]) == 1
+    assert "error: --set: " in capsys.readouterr().err
 
 
 def test_seed_flag_wins_over_file_and_set(tmp_path):
@@ -154,6 +163,18 @@ def test_validate_command(tmp_path, capsys):
     assert "configuration valid" in capsys.readouterr().out
     assert main(["validate", "--config", str(p), "--set", "N=20"]) == 1
     assert "N <= M" in capsys.readouterr().out
+    rejected = [
+        (("pa_mu=1", "pa_rho_max_dB=30"), "pa.mu < 1"),
+        (("pa_mu=0.5",), "finite saturation power"),
+        (("P_dB=60", "pa_epsilon=0.5", "pa_mu=0.5", "pa_rho_max_dB=10"), "SaturationError"),
+        (("M=32", "N=8", "N_vec=128", "baselines=exhaustive"), "exhaustive baseline"),
+    ]
+    for sets, message in rejected:
+        argv = ["validate", "--config", str(p)]
+        for item in sets:
+            argv += ["--set", item]
+        assert main(argv) == 1
+        assert message in capsys.readouterr().out
 
 
 def test_validate_reports_each_sweep_point(tmp_path, capsys):

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from beamsel.codebook import Codebook, build_dft_codebook, materialize
+from beamsel.codebook import Codebook, build_dft_codebook
 from beamsel.core import BeamSelection
+from scalar_oracle import materialize
 
 
 def test_entries_match_closed_form():

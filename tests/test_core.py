@@ -11,11 +11,10 @@ from beamsel.core import (
     PaParams,
     SystemConfig,
     db_to_linear,
-    identity,
     linear_to_db,
-    matmul,
     validate_config,
 )
+from scalar_oracle import identity, matmul
 
 
 def naive_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -149,6 +148,7 @@ def test_validate_config_accepts_recipe_parameter_sets():
         dict(M=32, N=8, N_vec=128, theta_dB=0.0),
         dict(M=16, N=4, N_vec=64, k=3.0),
         dict(M=4, N=2, N_vec=8, N_it=50),
+        dict(M=4, N=2, N_vec=8, N_it=1, mutation_fraction=1.0),
     ]
     for kw in scenarios:
         assert validate_config(SystemConfig(**kw)) == []
@@ -175,6 +175,10 @@ def test_validate_config_collects_multiple_violations():
     assert any("2*beta^2 <= 1" in e for e in errs)
     assert any("mutation_fraction" in e for e in errs)
     assert any("S + 1 < L" in e for e in errs)
+    errs = validate_config(SystemConfig(M=4, N=2, N_vec=8, L=1, S=-1, N_it=0))
+    assert any("L >= 2" in e for e in errs)
+    assert any("S >= 0" in e for e in errs)
+    assert any("N_it >= 1" in e for e in errs)
 
 
 def test_validate_config_pa_bounds():
@@ -182,6 +186,16 @@ def test_validate_config_pa_bounds():
     assert any("pa.epsilon" in e for e in validate_config(bad_eps))
     bad_mu = SystemConfig(M=4, N=2, N_vec=8, pa=PaParams(mu=1.5, rho_max_dB=35.0))
     assert any("pa.mu" in e for e in validate_config(bad_mu))
+    # The amplifier cannot deliver these budgets; each used to fail only at run time.
+    mu_one = SystemConfig(M=4, N=2, N_vec=8, pa=PaParams(mu=1.0, rho_max_dB=30.0))
+    assert any("pa.mu < 1" in e for e in validate_config(mu_one))
+    unbounded = SystemConfig(M=4, N=2, N_vec=8, pa=PaParams(mu=0.5))
+    assert any("finite saturation power" in e for e in validate_config(unbounded))
+    saturating = SystemConfig(M=4, N=2, N_vec=8, P_dB=60.0,
+                              pa=PaParams(epsilon=0.5, mu=0.5, rho_max_dB=10.0))
+    assert any(e.startswith("SaturationError:") for e in validate_config(saturating))
+    overflowing = SystemConfig(M=4, N=2, N_vec=8, P_dB=4000.0)
+    assert any(e.startswith("OverflowError:") for e in validate_config(overflowing))
     ideal = SystemConfig(M=4, N=2, N_vec=8, pa=IDEAL_PA)
     assert validate_config(ideal) == []
 

@@ -1,10 +1,14 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from beamsel.core import ConfigError, PaParams, SystemConfig
+from beamsel import harness
+from beamsel.core import ConfigError, PaParams, SystemConfig, validate_config
 from beamsel.harness import (
     ExperimentConfig,
     _aggregate,
@@ -179,6 +183,65 @@ def test_run_experiment_isolates_invalid_point():
     assert "N <= M" in result.errors[0].message
 
 
+def test_run_experiment_isolates_oversized_exhaustive_point():
+    ec = ExperimentConfig(base=_base(M=8, N=2, N_it=5, realizations=1), baselines=("exhaustive",),
+                          sweep_key="N_vec", sweep_values=(16.0, 2048.0))
+    result = run_experiment(ec)
+    assert [pt.sweep_value for pt in result.points] == [16.0]
+    assert "exhaustive baseline" in result.errors[0].message
+
+
+def test_run_experiment_propagates_plain_value_error(monkeypatch):
+    # Only the typed domain errors become point errors; anything else is a bug.
+    def broken(cfg, index):
+        raise ValueError("not a domain error")
+
+    monkeypatch.setattr(harness, "realize_channel", broken)
+    with pytest.raises(ValueError, match="not a domain error"):
+        run_experiment(ExperimentConfig(base=_base(realizations=1)))
+
+
+# Amplifiers: ideal, feasible at low power, saturating at high power, and
+# three that no power budget can use (mu = 1, mu > 0 unbounded, epsilon = 0).
+AMPLIFIERS = [PaParams(), PaParams(0.5, 0.0, 30.0), PaParams(0.5, 0.5, 30.0),
+              PaParams(0.5, 0.5, 10.0), PaParams(0.5, 1.0, 30.0), PaParams(0.5, 0.5, math.inf),
+              PaParams(0.0, 0.0, math.inf)]
+
+
+@st.composite
+def tiny_experiments(draw):
+    """Tiny scenarios: valid, or with at most one field out of range."""
+    m = draw(st.integers(1, 5))
+    L = draw(st.integers(2, 6))
+    cfg = SystemConfig(
+        M=m, N=draw(st.integers(1, m)), N_vec=draw(st.integers(m, 8)),
+        k=draw(st.sampled_from([0.0, 1.0, 3.0, math.inf])),
+        beta=draw(st.floats(0.0, 0.7)),
+        P_dB=draw(st.floats(-10.0, 70.0)),
+        alpha=draw(st.sampled_from([0.0, 0.001, 0.3])),
+        N_it=draw(st.integers(1, 5)), L=L, S=draw(st.integers(0, L - 2)),
+        mutation_fraction=draw(st.floats(0.01, 1.0)),
+        theta_dB=draw(st.floats(-20.0, 20.0)),
+        pa=draw(st.sampled_from(AMPLIFIERS)),
+        realizations=1, seed=draw(st.integers(0, 2**16)),
+        los_formula=draw(st.sampled_from(["normalized", "verbatim"])),
+    )
+    broken = draw(st.sampled_from([{}] * 8 + [
+        {"N": m + 1}, {"N_vec": m - 1}, {"k": -1.0}, {"beta": 0.75}, {"L": 1}, {"S": -1},
+        {"S": L - 1}, {"mutation_fraction": 0.0}]))
+    return ExperimentConfig(base=replace(cfg, **broken),
+                            objective_kind=draw(st.sampled_from(list(ObjectiveKind))),
+                            baselines=draw(st.sampled_from(
+                                [(), ("random",), ("exhaustive",), ("random", "exhaustive")])))
+
+
+@given(tiny_experiments())
+@settings(max_examples=200, deadline=None)
+def test_validate_accepts_exactly_what_runs(ec):
+    result = run_experiment(ec)
+    assert (validate_config(ec.base) == []) == (not result.errors), result.errors
+
+
 def test_outage_probability_identity():
     # four users on four antennas is interference-limited, so some users miss
     # the threshold while others clear it
@@ -210,7 +273,8 @@ def test_baseline_scores_bracket_the_search():
 
 def test_aggregate_is_order_insensitive():
     cfg = _base(N_it=15, realizations=3)
-    outcomes = [_run_realization(cfg, ObjectiveKind.THROUGHPUT, r, (), 0.0) for r in range(3)]
+    ec = ExperimentConfig(base=cfg)
+    outcomes = [_run_realization(ec, cfg, r) for r in range(3)]
     fwd = _aggregate(None, cfg, outcomes, 0.0)
     rev = _aggregate(None, cfg, list(reversed(outcomes)), 0.0)
     np.testing.assert_allclose(fwd.mean_weighted_curve, rev.mean_weighted_curve, rtol=1e-12)

@@ -4,27 +4,21 @@ import numpy as np
 import pytest
 
 from beamsel.channel import realize_channel, stream_rng, STREAM_SEARCH
-from beamsel.codebook import build_dft_codebook, materialize
+from beamsel.codebook import build_dft_codebook
 from beamsel.core import BeamSelection, ComplexMatrix, PaParams, SystemConfig, db_to_linear
-from beamsel.metrics import (
-    Objective,
-    ObjectiveKind,
-    channel_gain,
-    pa_output_power,
-    rates,
-    sinr,
-)
+from beamsel.metrics import Objective, ObjectiveKind, pa_output_power, rates
 from beamsel.search import (
-    GaParams,
     SearchSpaceError,
     SelectionEvaluator,
     exhaustive_search,
     ga_run,
     init_population,
     mutate,
+    n_replaced,
     random_search,
     search_space_size,
 )
+from scalar_oracle import channel_gain, materialize, sinr
 
 THROUGHPUT = Objective(kind=ObjectiveKind.THROUGHPUT, alpha=0.001)
 
@@ -54,20 +48,6 @@ def reference_scores(cfg, h, sels_0based, objective):
     return np.array(out_rates)
 
 
-def test_ga_params_validation():
-    with pytest.raises(ValueError):
-        GaParams(L=1)
-    with pytest.raises(ValueError):
-        GaParams(L=10, S=-1)
-    with pytest.raises(ValueError):
-        GaParams(L=10, S=9)  # no room for a fresh member
-    with pytest.raises(ValueError):
-        GaParams(N_it=0)
-    with pytest.raises(ValueError):
-        GaParams(mutation_fraction=0.0)
-    GaParams(L=10, S=5, N_it=1, mutation_fraction=1.0)
-
-
 @pytest.mark.parametrize("fraction,n,want", [
     (0.10, 8, 1),
     (0.10, 10, 1),
@@ -79,7 +59,7 @@ def test_ga_params_validation():
     (0.01, 3, 1),    # never less than one slot
 ])
 def test_mutation_replaces_expected_slot_count(fraction, n, want):
-    assert GaParams(mutation_fraction=fraction).n_replaced(n) == want
+    assert n_replaced(fraction, n) == want
 
 
 def test_init_population_valid_and_deterministic():
@@ -131,6 +111,15 @@ def test_mutate_swaps_when_codebook_has_no_spare_columns():
         child = mutate(parent, cfg, rng)
         assert sorted(child.tolist()) == parent.tolist()
         assert np.count_nonzero(child != parent) == 2
+
+
+def test_mutate_single_column_codebook_returns_copy():
+    # N = N_vec = 1 has exactly one selection, so there is nothing to swap.
+    cfg = _cfg(M=1, N=1, N_vec=1)
+    parent = np.array([0], dtype=np.int64)
+    child = mutate(parent, cfg, np.random.default_rng(0))
+    np.testing.assert_array_equal(child, parent)
+    assert child is not parent
 
 
 def test_mutate_deterministic_and_leaves_parent_alone():
