@@ -125,12 +125,6 @@ def test_cli_overrides(tmp_path):
             apply_cli_overrides(ec, (bad,))
 
 
-def test_unparsable_override_exits_with_error(tmp_path, capsys):
-    p = _write(tmp_path, TINY_CONFIG)
-    assert main(["validate", "--config", str(p), "--set", "objective=bogus"]) == 1
-    assert "error: --set: " in capsys.readouterr().err
-
-
 def test_seed_flag_wins_over_file_and_set(tmp_path):
     p = _write(tmp_path, TINY_CONFIG)
     inv = CliInvocation(command="run", config_path=str(p),
@@ -175,6 +169,8 @@ def test_validate_command(tmp_path, capsys):
             argv += ["--set", item]
         assert main(argv) == 1
         assert message in capsys.readouterr().out
+    assert main(["validate", "--config", str(p), "--set", "objective=bogus"]) == 1
+    assert "error: --set: " in capsys.readouterr().err
 
 
 def test_validate_reports_each_sweep_point(tmp_path, capsys):

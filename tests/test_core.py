@@ -186,7 +186,7 @@ def test_validate_config_pa_bounds():
     assert any("pa.epsilon" in e for e in validate_config(bad_eps))
     bad_mu = SystemConfig(M=4, N=2, N_vec=8, pa=PaParams(mu=1.5, rho_max_dB=35.0))
     assert any("pa.mu" in e for e in validate_config(bad_mu))
-    # The amplifier cannot deliver these budgets; each used to fail only at run time.
+    # The amplifier cannot deliver these budgets, so a run of them would fail.
     mu_one = SystemConfig(M=4, N=2, N_vec=8, pa=PaParams(mu=1.0, rho_max_dB=30.0))
     assert any("pa.mu < 1" in e for e in validate_config(mu_one))
     unbounded = SystemConfig(M=4, N=2, N_vec=8, pa=PaParams(mu=0.5))
