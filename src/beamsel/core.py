@@ -19,7 +19,10 @@ class ConfigError(ValueError):
 
 def db_to_linear(x_db: float) -> float:
     """Convert a dB quantity to linear scale."""
-    return float(10.0 ** (x_db / 10.0))
+    try:
+        return float(10.0 ** (x_db / 10.0))
+    except OverflowError:
+        raise OverflowError(f"{x_db} dB is beyond the float range on the linear scale") from None
 
 
 def linear_to_db(x: float) -> float:
@@ -148,6 +151,8 @@ def validate_config(cfg: SystemConfig) -> list[str]:
         errs.append(f"2*beta^2 <= 1 violated (beta={cfg.beta})")
     if not math.isfinite(cfg.P_dB):
         errs.append(f"P_dB must be finite (P_dB={cfg.P_dB})")
+    if math.isnan(cfg.theta_dB):
+        errs.append(f"theta_dB must not be NaN (theta_dB={cfg.theta_dB})")
     if not cfg.alpha >= 0:
         errs.append(f"alpha >= 0 violated (alpha={cfg.alpha})")
     if cfg.N_it < 1:
@@ -177,11 +182,14 @@ def validate_config(cfg: SystemConfig) -> list[str]:
     if not errs:
         # Whether the amplifier can deliver the budget (mu > 0 needs a finite
         # saturation power, and the output must stay below it) is decided by
-        # the amplifier model itself. Imported here: metrics imports core.
-        from .metrics import pa_output_power
+        # the amplifier model itself; whether the outage threshold converts to
+        # a finite rate, by the conversion every run makes. Imported here:
+        # metrics imports core.
+        from .metrics import min_rate_for_threshold, pa_output_power
 
         try:
             pa_output_power(cfg.P_linear, cfg.pa)
+            min_rate_for_threshold(cfg.theta_dB)
         except (ValueError, OverflowError) as exc:
             errs.append(f"{type(exc).__name__}: {exc}")
     return errs

@@ -162,6 +162,8 @@ def test_validate_command(tmp_path, capsys):
         (("pa_mu=0.5",), "finite saturation power"),
         (("P_dB=60", "pa_epsilon=0.5", "pa_mu=0.5", "pa_rho_max_dB=10"), "SaturationError"),
         (("M=32", "N=8", "N_vec=128", "baselines=exhaustive"), "exhaustive baseline"),
+        (("theta_dB=nan",), "theta_dB must not be NaN"),
+        (("theta_dB=4000",), "OverflowError: 4000.0 dB"),
     ]
     for sets, message in rejected:
         argv = ["validate", "--config", str(p)]

@@ -196,6 +196,9 @@ def test_validate_config_pa_bounds():
     assert any(e.startswith("SaturationError:") for e in validate_config(saturating))
     overflowing = SystemConfig(M=4, N=2, N_vec=8, P_dB=4000.0)
     assert any(e.startswith("OverflowError:") for e in validate_config(overflowing))
+    # The outage threshold goes through the same dB conversion on every run.
+    overflowing = SystemConfig(M=4, N=2, N_vec=8, theta_dB=4000.0)
+    assert any(e.startswith("OverflowError:") for e in validate_config(overflowing))
     ideal = SystemConfig(M=4, N=2, N_vec=8, pa=IDEAL_PA)
     assert validate_config(ideal) == []
 
@@ -204,6 +207,10 @@ def test_validate_config_k_and_seed():
     assert validate_config(SystemConfig(M=4, N=2, N_vec=8, k=math.inf)) == []
     assert any("k >= 0" in e for e in validate_config(SystemConfig(M=4, N=2, N_vec=8, k=-1.0)))
     assert any("seed" in e for e in validate_config(SystemConfig(M=4, N=2, N_vec=8, seed=-1)))
+    assert any("theta_dB" in e
+               for e in validate_config(SystemConfig(M=4, N=2, N_vec=8, theta_dB=math.nan)))
+    for theta in (math.inf, -math.inf):  # nobody served, everybody served: both consistent
+        assert validate_config(SystemConfig(M=4, N=2, N_vec=8, theta_dB=theta)) == []
 
 
 def test_with_overrides_routes_pa_fields():

@@ -228,7 +228,8 @@ def tiny_experiments(draw):
     )
     broken = draw(st.sampled_from([{}] * 8 + [
         {"N": m + 1}, {"N_vec": m - 1}, {"k": -1.0}, {"beta": 0.75}, {"L": 1}, {"S": -1},
-        {"S": L - 1}, {"mutation_fraction": 0.0}]))
+        {"S": L - 1}, {"mutation_fraction": 0.0}, {"theta_dB": math.nan},
+        {"theta_dB": 4000.0}]))
     return ExperimentConfig(base=replace(cfg, **broken),
                             objective_kind=draw(st.sampled_from(list(ObjectiveKind))),
                             baselines=draw(st.sampled_from(
