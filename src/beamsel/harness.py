@@ -23,6 +23,7 @@ from .core import ConfigError, SystemConfig, validate_config
 from .metrics import Objective, ObjectiveKind, SaturationError, served_stats
 from .search import (
     EXHAUSTIVE_CAP,
+    STREAM_LAYOUT,
     GaTrajectory,
     SearchSpaceError,
     SelectionEvaluator,
@@ -460,6 +461,7 @@ def write_result_files(result: ExperimentResult, out_dir) -> list[Path]:
         "convergence_tol": ec.convergence_tol,
         "base_config": _config_as_dict(ec.base),
         "seed": ec.base.seed,
+        "stream_layout": STREAM_LAYOUT,
         "workers": result.workers,
         "wall_seconds_total": result.wall_seconds,
         "points": [

@@ -33,6 +33,10 @@ class SearchSpaceError(ValueError):
 # Largest ordered search space exhaustive_search enumerates by default.
 EXHAUSTIVE_CAP = 1_000_000
 CHUNK = 4096  # selections scored per evaluate call by the baselines
+# Version of how the searches consume their random streams. Bump it with any
+# change that makes a seed draw different selections; provenance records it.
+# 2: one batched draw per call of _draw_selection and mutate.
+STREAM_LAYOUT = 2
 
 
 def n_replaced(mutation_fraction: float, n: int) -> int:
@@ -116,46 +120,51 @@ class SelectionEvaluator:
                          weighted_base=base, served=served, total_sum=total_sum)
 
 
-def _draw_selection(n: int, n_vec: int, rng: np.random.Generator) -> np.ndarray:
-    """One uniform ordered selection of n distinct columns out of n_vec (0-based)."""
-    return rng.choice(n_vec, size=n, replace=False).astype(np.int64)
+def _draw_selection(count: int, n: int, n_vec: int, rng: np.random.Generator) -> np.ndarray:
+    """A (count, n) block of uniform ordered selections of n distinct columns out of n_vec.
+
+    One Generator call: each row ranks n_vec uniform keys, and the columns of
+    its n smallest keys, in key order, are a uniform ordered selection.
+    """
+    return rng.random((count, n_vec)).argsort(axis=1)[:, :n]
 
 
 def init_population(cfg: SystemConfig, rng: np.random.Generator) -> np.ndarray:
     """Uniform random starting population, one selection per row (0-based)."""
-    pop = np.empty((cfg.L, cfg.N), dtype=np.int64)
-    for i in range(cfg.L):
-        pop[i] = _draw_selection(cfg.N, cfg.N_vec, rng)
-    return pop
+    return _draw_selection(cfg.L, cfg.N, cfg.N_vec, rng)
 
 
-def mutate(parent: np.ndarray, cfg: SystemConfig, rng: np.random.Generator) -> np.ndarray:
-    """Mutate a 0-based selection by replacing ceil(mutation_fraction * N) slots.
+def mutate(parent: np.ndarray, count: int, cfg: SystemConfig, rng: np.random.Generator) -> np.ndarray:
+    """A (count, N) block of mutants of one 0-based selection.
 
-    Replacement columns are drawn uniformly from the columns the chromosome is
-    not currently using, so the child always stays a valid selection. When the
-    codebook has no spare columns (N == N_vec) the fallback swaps two slots.
+    Each child replaces k = ceil(mutation_fraction * N) distinct slots, drawn
+    uniformly. Their new columns are a uniform ordered draw of distinct
+    columns the parent does not use; when fewer than k are unused, the
+    remaining slots take the columns freed by the first ones, so every
+    replaced slot still changes. When the codebook has no spare columns
+    (N == N_vec) a child swaps two slots instead. The draws are one Generator
+    call per block, whatever the parent.
     """
     parent = np.asarray(parent, dtype=np.int64)
     n = parent.size
-    child = parent.copy()
-    if cfg.N_vec == n:
-        if n > 1:  # a single-column codebook has one selection, so the child is a copy
-            i, j = rng.choice(n, size=2, replace=False)
-            child[i], child[j] = child[j], child[i]
-        return child
-    n_rep = n_replaced(cfg.mutation_fraction, n)
-    positions = rng.choice(n, size=n_rep, replace=False)
-    in_use = set(child.tolist())
-    for p in positions:
-        while True:
-            candidate = int(rng.integers(cfg.N_vec))
-            if candidate not in in_use:
-                break
-        in_use.discard(int(child[p]))
-        in_use.add(candidate)
-        child[p] = candidate
-    return child
+    children = np.repeat(parent[None, :], count, axis=0)
+    if cfg.N_vec == 1:
+        return children  # a single-column codebook has one selection
+    spare = cfg.N_vec - n
+    k = 2 if spare == 0 else n_replaced(cfg.mutation_fraction, n)
+    keys = rng.random((count, n + spare))
+    rows = np.arange(count)[:, None]
+    slots = keys[:, :n].argsort(axis=1)[:, :k]
+    old = children[rows, slots]
+    if spare == 0:
+        new = old[:, ::-1]
+    else:
+        unused = np.ones(cfg.N_vec, dtype=bool)
+        unused[parent] = False
+        fresh = np.flatnonzero(unused)[keys[:, n:].argsort(axis=1)[:, :min(k, spare)]]
+        new = np.concatenate([fresh, old[:, :k - fresh.shape[1]]], axis=1)
+    children[rows, slots] = new
+    return children
 
 
 @dataclass(frozen=True)
@@ -228,10 +237,8 @@ def ga_run(cfg: SystemConfig, h: ComplexMatrix, objective: Objective,
             break
         nxt = np.empty_like(pop)
         nxt[0] = pop[b]
-        for s in range(cfg.S):
-            nxt[1 + s] = mutate(pop[b], cfg, rng)
-        for i in range(cfg.S + 1, cfg.L):
-            nxt[i] = _draw_selection(cfg.N, cfg.N_vec, rng)
+        nxt[1:cfg.S + 1] = mutate(pop[b], cfg.S, cfg, rng)
+        nxt[cfg.S + 1:] = _draw_selection(cfg.L - cfg.S - 1, cfg.N, cfg.N_vec, rng)
         pop = nxt
     return GaTrajectory(queens=queens + 1, raw_scores=raw, weighted_bases=base,
                         alpha=objective.alpha, L=cfg.L)
@@ -298,9 +305,6 @@ def random_search(cfg: SystemConfig, h: ComplexMatrix, objective: Objective,
 
     def chunks():
         for start in range(0, budget, CHUNK):
-            arr = np.empty((min(CHUNK, budget - start), cfg.N), dtype=np.int64)
-            for i in range(arr.shape[0]):
-                arr[i] = _draw_selection(cfg.N, cfg.N_vec, rng)
-            yield arr
+            yield _draw_selection(min(CHUNK, budget - start), cfg.N, cfg.N_vec, rng)
 
     return _best_of_chunks(SelectionEvaluator(cfg, h, objective), chunks())

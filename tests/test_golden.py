@@ -6,8 +6,9 @@ anywhere in the pipeline fails here. Each recipe in configs/ runs through
 the CLI with the overrides criterion 11 uses (realizations=3, N_it=25).
 
 Only a declared stream-layout change (a deliberate change to how the random
-streams are consumed) may update GOLDEN. Such an update is recorded in
-CHANGES.md together with the reason. To print the digests of the current
+streams are consumed, with a new search.STREAM_LAYOUT) may update the
+digests below. Such an update is recorded in CHANGES.md together with the
+reason. To print the digests of the current
 code, run ``PYTHONPATH=src python tests/test_golden.py``.
 """
 
@@ -17,60 +18,64 @@ from pathlib import Path
 
 import pytest
 
+from beamsel.channel import STREAM_SEARCH, realize_channel, stream_rng
 from beamsel.cli import main as cli_main
+from beamsel.core import SystemConfig
+from beamsel.metrics import Objective
+from beamsel.search import ga_run
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 OVERRIDES = ("--set", "realizations=3", "--set", "N_it=25")
 
 GOLDEN = {
     "amplifier_power_sweep.cfg": {
-        "cdf.csv": "99c070a95c1fda3f54d28b3a5841f99c5fa024e854eca79d94bf5681b4b3954c",
-        "convergence.csv": "3db25e306066f588ff292de097b1ea1566fbf2ec42216e5ee2fde7c5fcc567a3",
-        "curve.csv": "c99466e08b53f41bb15c7b7187618cfc3e86497c5178ec7aef6dfbc349a03512",
-        "curve_example.csv": "f22cdfc44bdf421a2211e35142c48851316700554888dd482ad039abf7c91144",
-        "summary.csv": "60918eae6de61679565cbd292b457207ea3fd3bde0260d7e43bcc4b338669278",
+        "cdf.csv": "21ad182bd7ba9ee86b4f8e3813c80d367284217cb7e36b46d85de3423e75e7e9",
+        "convergence.csv": "ea41735b96903b2a598efdffe625e02ce97233f591773513ca6a9d2fbea719f2",
+        "curve.csv": "536293476d62b3edf455b8907123d614e8b0143922b02896ce6997d997934365",
+        "curve_example.csv": "650c4ea5e1bd69d48217b4299cfd8c5630f9512ebb57447b149c9ae06a12b032",
+        "summary.csv": "b057334d023ef699e6de2f7a38a5886201893ce3c59c338b04c135a59a11dcef",
     },
     "codebook_size_sweep.cfg": {
-        "cdf.csv": "7ae1eebfff0a26dc1ed81f43f23dfb2fa0b161286f032bd3d0b2ab96b8a0cbfb",
-        "convergence.csv": "ae158df15b538ff3f649527efc2add15395bf1764a6152315b056c910a8b5d4d",
-        "curve.csv": "c127657079c7117e7007a20b58b0b3beb1e2df78fdbb7252272a91ae8e0629e2",
-        "curve_example.csv": "fb13c38bc4dc42018418a7035a4be8930d0ea1bfa72052484e09d285b54a524c",
-        "summary.csv": "b6ad10d2599c8cc3343c9743f08e0ee5d530f214ad0d6f884ea02246fb27bdfa",
+        "cdf.csv": "de45077dc2c60c2f9bcc23540a36b8899e86de0bb2e302d07c035e0ba7afe7b0",
+        "convergence.csv": "32dc285e7d64416867fb3cd01398e4b807a4e26da1eb43e0c47bdbba431b897e",
+        "curve.csv": "43f7073903e04a043ec9b78057c013ae3134e673105c3c45ffba592d9c089fdb",
+        "curve_example.csv": "a1808a2a81b243cd0d11f3d68ef75835a00e965980393af034be8d63998b88a6",
+        "summary.csv": "7a8b6ca5838de6461652a95dd70271cefc54b6a162ee696864d87d7549175ddd",
     },
     "convergence_trace.cfg": {
-        "cdf.csv": "2c2c11e4ca002d68d7494a10f0310ae3868494874a7f5f3eb8c0797a757cff37",
-        "convergence.csv": "d434e8d7c1a1738d26ee754072bd6962a8bd2aae73a2eee6e189dcd37543f2af",
-        "curve.csv": "fa5bd089437a23058dc24257009916b02257c83a44a351439b83a9bbee588a70",
-        "curve_example.csv": "e583f3720df2163bc7eae8e2f17298b123dd854c84ff95c1bc3790e498929b85",
-        "summary.csv": "adffc10d4ab3db8b53560614d5692e6a8ebb7a196e5fcbaa164892efe5a64117",
+        "cdf.csv": "77e324096eaf170cd04ba09c29efe63fe1c143eba483aaef6d682747ccc617e5",
+        "convergence.csv": "969bfab857dd8471a7a330b9804b8ab99cc3e08f41969aadae11c8bd49917b0c",
+        "curve.csv": "c0eb701a9ca424fee8d7ee61fad73d86763114514f1b11dd7c97b90f5927ceea",
+        "curve_example.csv": "3cb8071f7303c0ef98a0eba0b56da041bd317aa72f9708ad567091afb8a75032",
+        "summary.csv": "d9ebbd1892d38942bf5609f803f60ad9b5ab4eb646f37bb69fda25663cde1511",
     },
     "outage_power_sweep.cfg": {
-        "cdf.csv": "c611063fe6ebc1ed2624fbb113b3c1daaa126ecebf77b9713d0953cb055d8ea3",
-        "convergence.csv": "8a61e2bd8b2f9fd9101208144b6b6cbebf239d20ce1b370190c4dcd5d08a4aec",
-        "curve.csv": "9845dceacac0e77a4b6db9d5fd2d44b313d19fd38b0742f2c8f24e96982cdf47",
-        "curve_example.csv": "0353d076c7230ab8cc59da7740b61d29387932a5aa7cedc23aba982f67cc56bd",
-        "summary.csv": "b525813f60fa36cfdcf631dbf6c3bbda78e9c7414ab1fcd30273f6d0df959070",
+        "cdf.csv": "5a5e00c1e7c41c38457e1fc8d47b2ed9f73655dbfb80bcc6404f49fff4f59aa2",
+        "convergence.csv": "97e865269761dc5e4878c8063daea3eb493d6150c43ca24f361f77a8e2ddc567",
+        "curve.csv": "9b634a6890853eaf94794afd53ae2934b560f41cc0ae9e868ea7edb435b490d1",
+        "curve_example.csv": "f8807fe85833af2e2d45d9826e26f4ed3261350defced6d4f542d88216fc0049",
+        "summary.csv": "311ddb3f2c813125c0d47dda2084b83b54e3f05b94cc7dbcd4817c619e03a987",
     },
     "power_sweep.cfg": {
-        "cdf.csv": "42e90dadbd14ea82dd2248d661e7f187c51df8de90208fa83339d8a641a61f08",
-        "convergence.csv": "df9b1bb00dde1c4d8ad38c16c381319763ccfe05d97b7fbbf2b4b22e11d6a939",
-        "curve.csv": "2de6e9c7d63ba2a32e9a2d3a8498250bc1857b211b159664b5ba6c1906b22cfb",
-        "curve_example.csv": "42304c8f48bc51b17e62829c5f588abadc5ed9a8e6a076a07ccc5265f2927286",
-        "summary.csv": "fd08e1fa12d0a92dfb038f471d5e48d86ec7e07ecf4054103587807b1db2b74a",
+        "cdf.csv": "d1acfc3b1580f4aab5c58e1f6ad9cc5773559b03d37ff009b9e0e2a116595c05",
+        "convergence.csv": "a52b14b074c92f1ad4ed02d2bfdc4c54cfdc6067c60222001c0bdcb4e3aa65ff",
+        "curve.csv": "5333eb1d816f0aa5572966ba7754a30f61e01af7580cc40e4c6afcd096879cd5",
+        "curve_example.csv": "ffe46a6dc28e494db5f5f313a30553c61dd608e9cfe0a87f3ae75a6c5ef8ff9f",
+        "summary.csv": "372fc81b3a40487b23e7dba1ffc208fa542cc132551e81394a9d524f54313789",
     },
     "served_users.cfg": {
-        "cdf.csv": "66be3ac8c7361d2dae3ea0e7825073d4f2db72c3758df52016162d76bea9fe42",
-        "convergence.csv": "e6d4c26882a026baaee36c5dd97e9b4a016a5d4f512e26dd60ca1d6271c706a7",
-        "curve.csv": "6fa2fcbb7ae6dc8d1e0cbcbce875382a95ccec20a316a4312c6e79c8f2c5df91",
-        "curve_example.csv": "ccaa6853fbf6694aae82b1a382f7a806d1d066af0282411143511b03b4b5629e",
-        "summary.csv": "84c95f0469c73d3c406def91a1e71811026b187b54e2a389be240c94f296b6b6",
+        "cdf.csv": "cbe0102dd19776185fe307c2fc15aa18d3d276d8eeeeaefdfa1068cff7b0207a",
+        "convergence.csv": "e683d3ba656a6083a1d13f8490e44ab7627997244e99ef121498db7b15ba2c5e",
+        "curve.csv": "6d72a58ab653fb7108523afcf187638366d50647b240cd82a08631865a6f61e5",
+        "curve_example.csv": "2d775ead0cf48d30c80603071bcfd1068ad5febd9398abde5cc0f912b48308b6",
+        "summary.csv": "047f6c80aaadc3b1a056b7965d70e7abd12f5f0a39c16aa0c857885470d217c1",
     },
     "stopping_iterations.cfg": {
-        "cdf.csv": "c3b941a8024217932246fe2f53a14c3174908dbb6a95ca8727553fb565ca1596",
-        "convergence.csv": "ed3284dd9f2e26bc0fac5d677957e2112f0796b426aef4260d53fa7c06c9fd2d",
-        "curve.csv": "6ca54de36a1fe9feb052af9a274ef8746e5dd222ed50043e21016d6baf575c27",
-        "curve_example.csv": "349beb25d286a527b16a0256a4ad69d77fe98f726282420c78419dce723934a6",
-        "summary.csv": "404077b48e6cc8c57ee8a16ca77e3cd5e95eae295420e876b0cc7123af046801",
+        "cdf.csv": "793c560d1bacf82a606daab00b41856e5df5dc217d15f63dd4645cfec5f702c4",
+        "convergence.csv": "3a67893aee3ba231eade5180be5105d3c96cd6f9cf7dc99acfa780fa6b80f743",
+        "curve.csv": "db7c7fa14069f9b321e7dbe357f50f852e2a9d660717215dbb3d94f64d9d9ae3",
+        "curve_example.csv": "7beaab43c6b426a56acfe2bc58d4a30b7e7b8e2663f445bbbbbeab4c6a919b9b",
+        "summary.csv": "c4861f1b039d54ad31586887fb200a427e535ecad127282ce4319c4aefc70e02",
     },
 }
 
@@ -79,13 +84,41 @@ GOLDEN = {
 BASELINE_OVERRIDES = ("--set", "M=8", "--set", "N=3", "--set", "N_vec=16",
                       "--set", "baselines=random,exhaustive")
 BASELINE_GOLDEN = {
-    "baselines.csv": "014153e6a489d5eda118a71fe2c5bc5a57d6f57feab9d57cf8294e795a368429",
-    "cdf.csv": "42d713918f37e5b48032ae60feee6e4b0e4aea2632159012176cdfce0e0bebfb",
-    "convergence.csv": "b5a072590b7e5205c8f2dcf8afa6a5eab9e3cf270c47ba8ee3ec9cf0d21b2667",
-    "curve.csv": "35349a683e95ad17f20b26f1cdce4225ce5ff25ea68809a17b85be949e788f5e",
-    "curve_example.csv": "d1944bc448c0bf241869baf0a78b95d843dd7fe622607e6629f4649995c13d24",
-    "summary.csv": "fef4df9312880d8b5379a1733817f8d7d25c8d3903ebc8cb2450f0f59dc2b1b1",
+    "baselines.csv": "ac9bea7c6ff9cc9675315d6d1891edead36750848d21f572b2c1d0fbea01592b",
+    "cdf.csv": "700786500a07bd5d20c3c95fb3e46f446616d5bc13576f3ae85b4cc60808a7f0",
+    "convergence.csv": "5629398e73cc8d7b929f406e29fbd723d41bc5f044056916401c35afdf452e45",
+    "curve.csv": "a1bd6d4170932470786ee56f67a37cafb2f2599a53f2fd7dcf87cb104ed1d06c",
+    "curve_example.csv": "85b3d22cb9f214105f035503910ec8e38cd7fdd503380fcffcbb6b1731c5381b",
+    "summary.csv": "49c8cff6d256a392c5215a23701a376fe3f23f59e37bc12b6c6ae8a6c9216bc6",
 }
+
+
+# Every recipe replaces one slot per mutation from a codebook with spare
+# columns. These ga_run cases pin the other mutation shapes: several slots
+# (mutation_fraction=0.5), every slot with fewer spare columns than slots,
+# and the swap of a full codebook (N == N_vec).
+GA_SHAPES = {
+    "half_of_the_slots": dict(M=8, N=4, N_vec=16, mutation_fraction=0.5),
+    "few_spare_columns": dict(M=8, N=6, N_vec=8, mutation_fraction=1.0),
+    "full_codebook_swap": dict(M=6, N=6, N_vec=6),
+}
+GA_GOLDEN = {
+    "few_spare_columns": "bf4ede067c72abafd57ae4e7701657f6a212a1289093be804fc33013445911a9",
+    "full_codebook_swap": "823f496c0246089170ffb3ceb43aa7dfee178e752c9d1def9545b0bd43eb43a6",
+    "half_of_the_slots": "92c2a5083c4ebc05db1eb4674a454cd815d79a28d8f2ed666dda13f84aa71440",
+}
+
+
+def ga_digest(shape: str) -> str:
+    """SHA-256 of the queens, raw scores and weighted bases of three ga_run calls."""
+    cfg = SystemConfig(**GA_SHAPES[shape], N_it=30, L=10, S=5, P_dB=10.0, seed=2024)
+    digest = hashlib.sha256()
+    for r in range(3):
+        traj = ga_run(cfg, realize_channel(cfg, r).H, Objective(alpha=cfg.alpha),
+                      stream_rng(cfg.seed, r, STREAM_SEARCH))
+        for arr in (traj.queens, traj.raw_scores, traj.weighted_bases):
+            digest.update(arr.tobytes())
+    return digest.hexdigest()
 
 
 def _command(cfg_path: Path) -> str:
@@ -116,6 +149,11 @@ def test_baseline_csvs_match_golden_digests(tmp_path):
     assert got == BASELINE_GOLDEN
 
 
+@pytest.mark.parametrize("shape", sorted(GA_GOLDEN))
+def test_ga_run_matches_golden_digest(shape):
+    assert ga_digest(shape) == GA_GOLDEN[shape]
+
+
 if __name__ == "__main__":
     import contextlib
     import json
@@ -128,3 +166,5 @@ if __name__ == "__main__":
                                   BASELINE_OVERRIDES)
     print("GOLDEN =", json.dumps(golden, indent=4))
     print("BASELINE_GOLDEN =", json.dumps(baseline, indent=4))
+    print("GA_GOLDEN =", json.dumps({shape: ga_digest(shape) for shape in sorted(GA_SHAPES)},
+                                    indent=4))

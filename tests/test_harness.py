@@ -21,7 +21,7 @@ from beamsel.harness import (
     write_result_files,
 )
 from beamsel.metrics import ObjectiveKind
-from beamsel.search import GaTrajectory
+from beamsel.search import STREAM_LAYOUT, GaTrajectory
 
 
 def _traj(raw, alpha=0.0, n=2):
@@ -315,6 +315,7 @@ def test_write_result_files(tmp_path):
     prov = json.loads((tmp_path / "provenance.json").read_text())
     assert prov["package_version"]
     assert prov["seed"] == 7
+    assert prov["stream_layout"] == STREAM_LAYOUT == 2
     assert prov["sweep_key"] == "k"
     assert prov["base_config"]["M"] == 8
     assert prov["points"][0]["realizations"] == 2

@@ -9,6 +9,7 @@ from beamsel.core import BeamSelection, ComplexMatrix, PaParams, SystemConfig, d
 from beamsel.metrics import Objective, ObjectiveKind, pa_output_power, rates
 from beamsel.search import (
     SearchSpaceError,
+    _draw_selection,
     SelectionEvaluator,
     exhaustive_search,
     ga_run,
@@ -80,35 +81,101 @@ def test_init_population_full_codebook_draws_permutations():
         assert sorted(row.tolist()) == [0, 1, 2, 3]
 
 
+def _chi_square(counts):
+    expected = counts.sum() / counts.size
+    return float(((counts - expected) ** 2 / expected).sum())
+
+
+def test_draw_selection_covers_every_ordered_pair_uniformly():
+    sels = _draw_selection(12_000, 2, 4, np.random.default_rng(11))
+    assert sels.shape == (12_000, 2)
+    assert np.all(sels[:, 0] != sels[:, 1])
+    pairs = sorted(set(itertools.permutations(range(4), 2)))
+    counts = np.array([np.count_nonzero((sels[:, 0] == a) & (sels[:, 1] == b)) for a, b in pairs])
+    assert counts.sum() == 12_000  # all 12 ordered pairs, nothing else
+    assert counts.min() > 0
+    # 11 degrees of freedom: P(chi2 > 40) is about 3e-5.
+    assert _chi_square(counts) < 40.0
+
+
+def _changed_slots(children, parent):
+    return np.count_nonzero(children != parent[None, :], axis=1)
+
+
+def _assert_valid(children, n_vec):
+    n = children.shape[1]
+    assert all(len(set(row.tolist())) == n for row in children)
+    assert children.min() >= 0 and children.max() < n_vec
+
+
 def test_mutate_changes_exactly_one_slot_for_small_n():
     cfg = _cfg(M=8, N=8, N_vec=128)
-    rng = np.random.default_rng(3)
     parent = np.arange(8, dtype=np.int64)
-    for _ in range(200):
-        child = mutate(parent, cfg, rng)
-        diff = np.flatnonzero(child != parent)
-        assert diff.size == 1
-        assert child[diff[0]] not in parent
-        assert len(set(child.tolist())) == 8
+    children = mutate(parent, 200, cfg, np.random.default_rng(3))
+    assert children.shape == (200, 8)
+    assert np.all(_changed_slots(children, parent) == 1)
+    assert not np.isin(children[children != parent[None, :]], parent).any()
+    _assert_valid(children, 128)
 
 
 def test_mutate_changes_two_slots_for_n_twenty():
     cfg = _cfg(M=32, N=20, N_vec=64)
-    rng = np.random.default_rng(4)
     parent = np.arange(20, dtype=np.int64)
-    for _ in range(100):
-        child = mutate(parent, cfg, rng)
-        diff = np.flatnonzero(child != parent)
-        assert diff.size == 2
-        assert len(set(child.tolist())) == 20
+    children = mutate(parent, 100, cfg, np.random.default_rng(4))
+    assert np.all(_changed_slots(children, parent) == 2)
+    _assert_valid(children, 64)
+
+
+@pytest.mark.parametrize("fraction,n,n_vec,want", [
+    (0.10, 8, 128, 1),
+    (0.25, 8, 32, 2),
+    (1.00, 4, 16, 4),   # every slot, from 12 unused columns
+    (1.00, 6, 8, 6),    # every slot, with only 2 unused columns
+])
+def test_mutate_replaces_n_replaced_slots(fraction, n, n_vec, want):
+    assert n_replaced(fraction, n) == want
+    cfg = _cfg(M=n, N=n, N_vec=n_vec, mutation_fraction=fraction)
+    parent = np.random.default_rng(1).permutation(n_vec)[:n]
+    children = mutate(parent, 500, cfg, np.random.default_rng(2))
+    assert np.all(_changed_slots(children, parent) == want)
+    _assert_valid(children, n_vec)
+    # Replacements come from outside the parent as long as unused columns remain.
+    fresh = np.count_nonzero(~np.isin(children, parent), axis=1)
+    assert np.all(fresh == min(want, n_vec - n))
+
+
+def test_mutate_replacements_are_uniform_over_unused_columns():
+    cfg = _cfg(M=4, N=4, N_vec=16)
+    parent = np.array([9, 2, 14, 5], dtype=np.int64)
+    children = mutate(parent, 12_000, cfg, np.random.default_rng(6))
+    changed = children != parent[None, :]
+    new_cols = children[changed]
+    assert new_cols.size == 12_000
+    assert not np.isin(new_cols, parent).any()
+    unused = np.setdiff1d(np.arange(16), parent)
+    counts = np.array([np.count_nonzero(new_cols == c) for c in unused])
+    assert counts.sum() == 12_000
+    # 11 degrees of freedom for the 12 unused columns, 3 for the 4 slots.
+    assert _chi_square(counts) < 40.0
+    assert _chi_square(changed.sum(axis=0)) < 25.0
+
+
+def test_mutate_draws_a_fixed_amount_whatever_the_parent():
+    # No rejection loop: the stream advances by the same amount for any
+    # parent, so the slots drawn depend on the stream alone.
+    cfg = _cfg(M=8, N=4, N_vec=16, mutation_fraction=0.5)
+    rngs = [np.random.default_rng(8), np.random.default_rng(8)]
+    a = mutate(np.array([0, 1, 2, 3]), 50, cfg, rngs[0])
+    b = mutate(np.array([12, 7, 15, 4]), 50, cfg, rngs[1])
+    assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+    np.testing.assert_array_equal(a != np.array([0, 1, 2, 3]), b != np.array([12, 7, 15, 4]))
 
 
 def test_mutate_swaps_when_codebook_has_no_spare_columns():
     cfg = _cfg(M=6, N=6, N_vec=6)
-    rng = np.random.default_rng(5)
     parent = np.array([0, 1, 2, 3, 4, 5], dtype=np.int64)
-    for _ in range(50):
-        child = mutate(parent, cfg, rng)
+    children = mutate(parent, 50, cfg, np.random.default_rng(5))
+    for child in children:
         assert sorted(child.tolist()) == parent.tolist()
         assert np.count_nonzero(child != parent) == 2
 
@@ -117,17 +184,17 @@ def test_mutate_single_column_codebook_returns_copy():
     # N = N_vec = 1 has exactly one selection, so there is nothing to swap.
     cfg = _cfg(M=1, N=1, N_vec=1)
     parent = np.array([0], dtype=np.int64)
-    child = mutate(parent, cfg, np.random.default_rng(0))
-    np.testing.assert_array_equal(child, parent)
-    assert child is not parent
+    children = mutate(parent, 3, cfg, np.random.default_rng(0))
+    np.testing.assert_array_equal(children, np.zeros((3, 1), dtype=np.int64))
+    assert not np.shares_memory(children, parent)
 
 
 def test_mutate_deterministic_and_leaves_parent_alone():
     cfg = _cfg(M=8, N=4, N_vec=16)
     parent = np.array([3, 7, 11, 15], dtype=np.int64)
     snapshot = parent.copy()
-    a = mutate(parent, cfg, np.random.default_rng(9))
-    b = mutate(parent, cfg, np.random.default_rng(9))
+    a = mutate(parent, 5, cfg, np.random.default_rng(9))
+    b = mutate(parent, 5, cfg, np.random.default_rng(9))
     np.testing.assert_array_equal(a, b)
     np.testing.assert_array_equal(parent, snapshot)
 
@@ -142,10 +209,9 @@ def test_mutate_stays_valid_across_random_shapes():
         cfg = SystemConfig(M=max(m, n_vec // 4 + 1), N=n, N_vec=max(n_vec, max(m, n_vec // 4 + 1)),
                            mutation_fraction=frac)
         parent = np.sort(rng.choice(cfg.N_vec, size=n, replace=False)).astype(np.int64)
-        child = mutate(parent, cfg, rng)
-        assert child.shape == parent.shape
-        assert len(set(child.tolist())) == n
-        assert child.min() >= 0 and child.max() < cfg.N_vec
+        children = mutate(parent, 4, cfg, rng)
+        assert children.shape == (4, n)
+        _assert_valid(children, cfg.N_vec)
 
 
 def test_evaluator_matches_reference_op_chain():
