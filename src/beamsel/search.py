@@ -121,7 +121,7 @@ class SelectionEvaluator:
 
 
 def _draw_selection(count: int, n: int, n_vec: int, rng: np.random.Generator) -> np.ndarray:
-    """A (count, n) block of uniform ordered selections of n distinct columns out of n_vec.
+    """A (count, n) block of uniform ordered selections of n distinct 0-based columns out of n_vec.
 
     One Generator call: each row ranks n_vec uniform keys, and the columns of
     its n smallest keys, in key order, are a uniform ordered selection.
@@ -157,7 +157,7 @@ def mutate(parent: np.ndarray, count: int, cfg: SystemConfig, rng: np.random.Gen
     slots = keys[:, :n].argsort(axis=1)[:, :k]
     old = children[rows, slots]
     if spare == 0:
-        new = old[:, ::-1]
+        new = old[:, ::-1]  # the two slots trade columns
     else:
         unused = np.ones(cfg.N_vec, dtype=bool)
         unused[parent] = False

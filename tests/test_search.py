@@ -126,9 +126,8 @@ def test_mutate_changes_two_slots_for_n_twenty():
     _assert_valid(children, 64)
 
 
+# One and two slots: the two tests above.
 @pytest.mark.parametrize("fraction,n,n_vec,want", [
-    (0.10, 8, 128, 1),
-    (0.25, 8, 32, 2),
     (1.00, 4, 16, 4),   # every slot, from 12 unused columns
     (1.00, 6, 8, 6),    # every slot, with only 2 unused columns
 ])
