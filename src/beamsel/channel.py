@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -87,20 +86,9 @@ def compose_channel(h_los: ComplexMatrix, h_nlos: ComplexMatrix, k: float) -> Co
     return ComplexMatrix(w_los * h_los.data + w_nlos * h_nlos.data)
 
 
-@dataclass(frozen=True)
-class ChannelRealization:
-    """One channel draw, tagged with the stream coordinates that produced it."""
-
-    H: ComplexMatrix
-    k: float
-    realization_index: int
-    seed: int
-
-
-def realize_channel(cfg: SystemConfig, realization_index: int) -> ChannelRealization:
+def realize_channel(cfg: SystemConfig, realization_index: int) -> ComplexMatrix:
     """Generate channel realization `realization_index` for this configuration."""
     rng = stream_rng(cfg.seed, realization_index, STREAM_CHANNEL)
     h_nlos = sample_nlos(cfg, rng)
     h_los = build_los(cfg)
-    h = compose_channel(h_los, h_nlos, cfg.k)
-    return ChannelRealization(H=h, k=cfg.k, realization_index=realization_index, seed=cfg.seed)
+    return compose_channel(h_los, h_nlos, cfg.k)

@@ -25,7 +25,7 @@ import numpy as np
 from .channel import STREAM_SEARCH, realize_channel, stream_rng
 from .core import ConfigError, SystemConfig, require_valid
 from .harness import ExperimentConfig, apply_settings, run_experiment, write_result_files
-from .search import SearchSpaceError, exhaustive_search, ga_run, search_space_size
+from .search import SearchSpaceError, SelectionEvaluator, exhaustive_search, ga_run, search_space_size
 
 REQUIRED_KEYS = ("M", "N", "N_vec")
 
@@ -171,14 +171,13 @@ def command_oracle_check(inv: CliInvocation, attainment_threshold: float = 0.95,
     """
     ec = _load_experiment(inv)
     cfg = require_valid(ec.base)
-    obj = ec.objective_for(cfg)
     size = search_space_size(cfg)
     attained = 0
     gaps = []
     for r in range(cfg.realizations):
-        ch = realize_channel(cfg, r)
-        _, opt = exhaustive_search(cfg, ch.H, obj)
-        traj = ga_run(cfg, ch.H, obj, stream_rng(cfg.seed, r, STREAM_SEARCH))
+        ev = SelectionEvaluator(cfg, realize_channel(cfg, r), ec.objective_kind)
+        _, opt = exhaustive_search(ev)
+        traj = ga_run(ev, stream_rng(cfg.seed, r, STREAM_SEARCH))
         found = traj.final_raw
         opt_scalar = float(opt[0]) if isinstance(opt, tuple) else float(opt)
         gap = max(0.0, opt_scalar - found) / max(abs(opt_scalar), 1e-300)

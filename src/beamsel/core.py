@@ -25,12 +25,6 @@ def db_to_linear(x_db: float) -> float:
         raise OverflowError(f"{x_db} dB is beyond the float range on the linear scale") from None
 
 
-def linear_to_db(x: float) -> float:
-    if x <= 0:
-        raise ValueError(f"dB conversion needs a positive value, got {x}")
-    return float(10.0 * math.log10(x))
-
-
 @dataclass(frozen=True, eq=False)
 class ComplexMatrix:
     """Immutable dense complex matrix.

@@ -20,7 +20,7 @@ import numpy as np
 from ._version import __version__
 from .channel import STREAM_BASELINE, STREAM_SEARCH, realize_channel, stream_rng
 from .core import ConfigError, SystemConfig, validate_config
-from .metrics import Objective, ObjectiveKind, SaturationError, served_stats
+from .metrics import ObjectiveKind, SaturationError, served_stats
 from .search import (
     EXHAUSTIVE_CAP,
     STREAM_LAYOUT,
@@ -149,9 +149,6 @@ class ExperimentConfig:
             return [(None, self.base)]
         return [(float(v), apply_override(self.base, self.sweep_key, v)) for v in self.sweep_values]
 
-    def objective_for(self, cfg: SystemConfig) -> Objective:
-        return Objective(kind=self.objective_kind, alpha=cfg.alpha, theta_dB=cfg.theta_dB)
-
     def violations(self, cfg: SystemConfig) -> list[str]:
         """Why this experiment cannot run the point cfg; empty when it can."""
         errs = validate_config(cfg)
@@ -206,13 +203,12 @@ class RealizationOutcome:
 
 
 def _run_realization(ec: ExperimentConfig, cfg: SystemConfig, index: int) -> RealizationOutcome:
-    ch = realize_channel(cfg, index)
-    obj = ec.objective_for(cfg)
-    traj = ga_run(cfg, ch.H, obj, stream_rng(cfg.seed, index, STREAM_SEARCH))
+    ev = SelectionEvaluator(cfg, realize_channel(cfg, index), ec.objective_kind)
+    traj = ga_run(ev, stream_rng(cfg.seed, index, STREAM_SEARCH))
     weighted = traj.weighted_scores()
     kstar = convergence_iteration(traj)
     kstar0 = convergence_iteration(traj, alpha=0.0, tol=ec.convergence_tol)
-    user_rates = SelectionEvaluator(cfg, ch.H, obj).evaluate(traj.queens[kstar - 1] - 1).user_rates[0]
+    user_rates = ev.evaluate(traj.queens[kstar - 1] - 1).user_rates[0]
     served, flags = served_stats(user_rates, cfg.theta_dB)
     constrained = np.where(flags, 0.0, user_rates)
     baseline_scores: dict[str, float] = {}
@@ -220,9 +216,9 @@ def _run_realization(ec: ExperimentConfig, cfg: SystemConfig, index: int) -> Rea
         brng = stream_rng(cfg.seed, index, STREAM_BASELINE)
         for name in ec.baselines:
             if name == "random":
-                _, score = random_search(cfg, ch.H, obj, budget=cfg.L * cfg.N_it, rng=brng)
+                _, score = random_search(ev, cfg.L * cfg.N_it, brng)
             else:
-                _, score = exhaustive_search(cfg, ch.H, obj)
+                _, score = exhaustive_search(ev)
             baseline_scores[name] = float(score[0]) if isinstance(score, tuple) else float(score)
     return RealizationOutcome(
         weighted_curve=weighted,

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -85,33 +84,12 @@ def pa_output_power(rho_cons: float, pa: PaParams) -> float:
     return float(rho_out)
 
 
-def pa_consumed_power(rho_out: float, pa: PaParams) -> float:
-    """Power the amplifier draws to radiate rho_out (linear scale). Inverse of pa_output_power."""
-    if not rho_out >= 0:
-        raise ValueError(f"output power must be non-negative, got {rho_out}")
-    if pa.is_ideal:
-        return float(rho_out)
-    if pa.mu == 1.0:
-        raise ValueError("mu = 1 leaves the consumption law degenerate; use mu in [0, 1)")
-    rho_max = pa.rho_max_linear
-    if pa.mu > 0 and not math.isfinite(rho_max):
-        raise ValueError("mu > 0 requires a finite saturation power rho_max_dB")
-    if rho_out > rho_max * (1.0 + 1e-9):
-        raise SaturationError(f"output power {rho_out:g} exceeds saturation {rho_max:g}")
-    if pa.mu == 0:
-        return float(rho_out / pa.epsilon)
-    return float(rho_max**pa.mu * rho_out ** (1.0 - pa.mu) / pa.epsilon)
-
-
-def pa_effective_efficiency(rho_out: float, pa: PaParams) -> float:
-    """Ratio of radiated to consumed power at the given operating point."""
-    if rho_out <= 0:
-        raise ValueError(f"efficiency needs a positive output power, got {rho_out}")
-    return float(rho_out / pa_consumed_power(rho_out, pa))
-
-
 class ObjectiveKind(enum.Enum):
-    """What the beam search tries to maximize."""
+    """What the beam search tries to maximize.
+
+    OUTAGE_COUNT compares candidates lexicographically: served user count
+    first, total sum rate as the tie-break.
+    """
 
     THROUGHPUT = "throughput"
     OUTAGE_THROUGHPUT = "outage_throughput"
@@ -128,16 +106,3 @@ class ObjectiveKind(enum.Enum):
     def __str__(self) -> str:
         return self.value
 
-
-@dataclass(frozen=True)
-class Objective:
-    """Search objective plus the parameters it needs.
-
-    alpha feeds the delay weighting; theta_dB only matters for the outage
-    variants. OUTAGE_COUNT compares candidates lexicographically: served user
-    count first, total sum rate as the tie-break.
-    """
-
-    kind: ObjectiveKind = ObjectiveKind.THROUGHPUT
-    alpha: float = 0.001
-    theta_dB: float = -100.0

@@ -16,21 +16,14 @@ import numpy as np
 
 from .codebook import build_dft_codebook
 from .core import BeamSelection, ComplexMatrix, DimensionError, SystemConfig, require_valid
-from .metrics import (
-    Objective,
-    ObjectiveKind,
-    min_rate_for_threshold,
-    pa_output_power,
-    rates,
-    sinr_from_components,
-)
+from .metrics import ObjectiveKind, min_rate_for_threshold, pa_output_power, rates, sinr_from_components
 
 
 class SearchSpaceError(ValueError):
     """The exhaustive search space is too large to enumerate."""
 
 
-# Largest ordered search space exhaustive_search enumerates by default.
+# Largest ordered search space exhaustive_search enumerates.
 EXHAUSTIVE_CAP = 1_000_000
 CHUNK = 4096  # selections scored per evaluate call by the baselines
 # Version of how the searches consume their random streams. Bump it with any
@@ -77,13 +70,16 @@ class EvalBatch:
 class SelectionEvaluator:
     """Scores beam selections against one channel realization.
 
-    Precomputes the per-user gain of every codebook column once (|H W|^2),
-    after which any selection's gain matrix is a pure row gather. The
-    amplifier model is applied to the power budget here, so every search
-    sees the post-amplifier SNR.
+    The one handle every search gets for a realization: it validates cfg
+    once, keeps it, and precomputes the per-user gain of every codebook
+    column (|H W|^2), after which any selection's gain matrix is a pure row
+    gather. The amplifier model is applied to the power budget here, so
+    every search sees the post-amplifier SNR, and the outage threshold is
+    cfg.theta_dB.
     """
 
-    def __init__(self, cfg: SystemConfig, h: ComplexMatrix, objective: Objective):
+    def __init__(self, cfg: SystemConfig, h: ComplexMatrix, kind: ObjectiveKind = ObjectiveKind.THROUGHPUT):
+        self.cfg = require_valid(cfg)
         if h.shape != (cfg.N, cfg.M):
             raise DimensionError(f"channel shape {h.shape} does not match (N, M) = ({cfg.N}, {cfg.M})")
         cb = build_dft_codebook(cfg.M, cfg.N_vec)
@@ -91,8 +87,8 @@ class SelectionEvaluator:
         # Row u holds every user's power gain from codebook column u.
         self._column_gains = np.ascontiguousarray((t.real**2 + t.imag**2).T)
         self._p_over_m = pa_output_power(cfg.P_linear, cfg.pa) / cfg.M
-        self._min_rate = min_rate_for_threshold(objective.theta_dB)
-        self.objective = objective
+        self._min_rate = min_rate_for_threshold(cfg.theta_dB)
+        self.kind = kind
 
     def evaluate(self, selections: np.ndarray) -> EvalBatch:
         """Score a (B, N) array of 0-based selections."""
@@ -106,7 +102,7 @@ class SelectionEvaluator:
         snr = sinr_from_components(signal, interference, self._p_over_m)
         user_rates = rates(snr)
         total_sum = user_rates.sum(axis=1)
-        kind = self.objective.kind
+        kind = self.kind
         served = None
         if kind is ObjectiveKind.THROUGHPUT:
             raw = total_sum
@@ -212,17 +208,15 @@ class GaTrajectory:
         return float(self.raw_scores[-1])
 
 
-def ga_run(cfg: SystemConfig, h: ComplexMatrix, objective: Objective,
-           rng: np.random.Generator) -> GaTrajectory:
-    """Run the elitist genetic search on one channel realization.
+def ga_run(ev: SelectionEvaluator, rng: np.random.Generator) -> GaTrajectory:
+    """Run the elitist genetic search on the evaluator's channel realization.
 
     Each generation scores all L members, crowns the best as Queen (ties go to
     the lowest population index), then builds the next generation from the
     Queen, S of her mutants, and fresh uniform selections. Elitism makes the
     raw score non-decreasing across iterations.
     """
-    require_valid(cfg)
-    ev = SelectionEvaluator(cfg, h, objective)
+    cfg = ev.cfg
     pop = init_population(cfg, rng)
     queens = np.empty((cfg.N_it, cfg.N), dtype=np.int64)
     raw = np.empty(cfg.N_it, dtype=np.float64)
@@ -241,7 +235,7 @@ def ga_run(cfg: SystemConfig, h: ComplexMatrix, objective: Objective,
         nxt[cfg.S + 1:] = _draw_selection(cfg.L - cfg.S - 1, cfg.N, cfg.N_vec, rng)
         pop = nxt
     return GaTrajectory(queens=queens + 1, raw_scores=raw, weighted_bases=base,
-                        alpha=objective.alpha, L=cfg.L)
+                        alpha=cfg.alpha, L=cfg.L)
 
 
 def search_space_size(cfg: SystemConfig) -> int:
@@ -267,39 +261,35 @@ def _best_of_chunks(ev: SelectionEvaluator, chunks):
     return BeamSelection.from_array(best_sel), best_cmp
 
 
-def exhaustive_search(cfg: SystemConfig, h: ComplexMatrix, objective: Objective,
-                      cap: int = EXHAUSTIVE_CAP):
+def exhaustive_search(ev: SelectionEvaluator):
     """Enumerate every ordered selection and return (best, score).
 
     The score is the undiscounted objective: a float for the rate objectives,
     a (served, sum rate) tuple for the count objective. Ties resolve to the
     first optimum in lexicographic enumeration order. Refuses to run when the
-    space exceeds cap.
+    space exceeds EXHAUSTIVE_CAP.
     """
-    require_valid(cfg)
+    cfg = ev.cfg
     size = search_space_size(cfg)
-    if size > cap:
+    if size > EXHAUSTIVE_CAP:
         raise SearchSpaceError(
-            f"{size} ordered selections exceed the exhaustive cap of {cap}; "
-            f"shrink N_vec/N or raise cap explicitly"
-        )
+            f"{size} ordered selections exceed the exhaustive cap of {EXHAUSTIVE_CAP}; shrink N_vec/N")
     perms = itertools.permutations(range(cfg.N_vec), cfg.N)
 
     def chunks():
         while chunk := list(itertools.islice(perms, CHUNK)):
             yield np.asarray(chunk, dtype=np.int64)
 
-    return _best_of_chunks(SelectionEvaluator(cfg, h, objective), chunks())
+    return _best_of_chunks(ev, chunks())
 
 
-def random_search(cfg: SystemConfig, h: ComplexMatrix, objective: Objective,
-                  budget: int, rng: np.random.Generator):
+def random_search(ev: SelectionEvaluator, budget: int, rng: np.random.Generator):
     """Score `budget` uniform selections and return (best, score).
 
     The matched-budget baseline for the genetic search is budget = L * N_it.
     Ties resolve to the earliest draw.
     """
-    require_valid(cfg)
+    cfg = ev.cfg
     if budget < 1:
         raise ValueError(f"budget must be at least 1, got {budget}")
 
@@ -307,4 +297,4 @@ def random_search(cfg: SystemConfig, h: ComplexMatrix, objective: Objective,
         for start in range(0, budget, CHUNK):
             yield _draw_selection(min(CHUNK, budget - start), cfg.N, cfg.N_vec, rng)
 
-    return _best_of_chunks(SelectionEvaluator(cfg, h, objective), chunks())
+    return _best_of_chunks(ev, chunks())

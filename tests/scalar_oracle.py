@@ -4,18 +4,22 @@ The package scores selections only through the batched
 ``search.SelectionEvaluator.evaluate``. The functions here walk the model
 the long way (materialize the beamforming matrix, multiply, square, form
 each user's SINR, then the rate objective) and serve as the oracle the
-tests check the batched path against. Nothing under ``src/`` imports them.
+tests check the batched path against. The amplifier's forward consumption
+law lives here too: the package only inverts it (``pa_output_power``), and
+the tests check that inverse against it. Nothing under ``src/`` imports them.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from beamsel.codebook import Codebook
-from beamsel.core import BeamSelection, ComplexMatrix, DimensionError
+from beamsel.core import BeamSelection, ComplexMatrix, DimensionError, PaParams
 from beamsel.metrics import (
-    Objective,
     ObjectiveKind,
+    SaturationError,
     min_rate_for_threshold,
     served_stats,
     sinr_from_components,
@@ -92,7 +96,8 @@ def outage_throughput(r: np.ndarray, alpha: float, k_it: int, theta_dB: float) -
     return float(delay_factor(alpha, k_it) * r[served].sum())
 
 
-def evaluate_objective(obj: Objective, r: np.ndarray, k_it: int):
+def evaluate_objective(kind: ObjectiveKind, r: np.ndarray, k_it: int, alpha: float = 0.001,
+                       theta_dB: float = -100.0):
     """Score a rate vector under the objective at search iteration k_it.
 
     Returns a float for the rate objectives and a (served_count, sum_rate)
@@ -100,9 +105,34 @@ def evaluate_objective(obj: Objective, r: np.ndarray, k_it: int):
     intended ordering.
     """
     r = np.asarray(r, dtype=np.float64)
-    if obj.kind is ObjectiveKind.THROUGHPUT:
-        return throughput(r, obj.alpha, k_it)
-    if obj.kind is ObjectiveKind.OUTAGE_THROUGHPUT:
-        return outage_throughput(r, obj.alpha, k_it, obj.theta_dB)
-    served, _ = served_stats(r, obj.theta_dB)
+    if kind is ObjectiveKind.THROUGHPUT:
+        return throughput(r, alpha, k_it)
+    if kind is ObjectiveKind.OUTAGE_THROUGHPUT:
+        return outage_throughput(r, alpha, k_it, theta_dB)
+    served, _ = served_stats(r, theta_dB)
     return served, float(r.sum())
+
+
+def pa_consumed_power(rho_out: float, pa: PaParams) -> float:
+    """Power the amplifier draws to radiate rho_out (linear scale). Inverse of pa_output_power."""
+    if not rho_out >= 0:
+        raise ValueError(f"output power must be non-negative, got {rho_out}")
+    if pa.is_ideal:
+        return float(rho_out)
+    if pa.mu == 1.0:
+        raise ValueError("mu = 1 leaves the consumption law degenerate; use mu in [0, 1)")
+    rho_max = pa.rho_max_linear
+    if pa.mu > 0 and not math.isfinite(rho_max):
+        raise ValueError("mu > 0 requires a finite saturation power rho_max_dB")
+    if rho_out > rho_max * (1.0 + 1e-9):
+        raise SaturationError(f"output power {rho_out:g} exceeds saturation {rho_max:g}")
+    if pa.mu == 0:
+        return float(rho_out / pa.epsilon)
+    return float(rho_max**pa.mu * rho_out ** (1.0 - pa.mu) / pa.epsilon)
+
+
+def pa_effective_efficiency(rho_out: float, pa: PaParams) -> float:
+    """Ratio of radiated to consumed power at the given operating point."""
+    if rho_out <= 0:
+        raise ValueError(f"efficiency needs a positive output power, got {rho_out}")
+    return float(rho_out / pa_consumed_power(rho_out, pa))

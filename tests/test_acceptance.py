@@ -26,9 +26,9 @@ from beamsel.channel import (
 from beamsel.cli import main as cli_main
 from beamsel.core import BeamSelection, PaParams, SystemConfig
 from beamsel.harness import ExperimentConfig, convergence_iteration, run_experiment
-from beamsel.metrics import Objective, ObjectiveKind, pa_consumed_power, pa_output_power
-from beamsel.search import exhaustive_search, ga_run, mutate
-from scalar_oracle import outage_throughput, throughput
+from beamsel.metrics import ObjectiveKind, pa_output_power
+from beamsel.search import SelectionEvaluator, exhaustive_search, ga_run, mutate
+from scalar_oracle import outage_throughput, pa_consumed_power, throughput
 
 SEED = 12345
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -49,26 +49,24 @@ def convergence_trajectories():
     """200 search trajectories of the reference convergence scenario."""
     cfg = SystemConfig(M=32, N=8, N_vec=128, k=0.0, P_dB=10.0, alpha=0.001,
                        N_it=500, seed=SEED)
-    obj = Objective(kind=ObjectiveKind.THROUGHPUT, alpha=0.001)
     t0 = time.perf_counter()
     trajs = []
     for r in range(200):
-        h = realize_channel(cfg, r).H
-        trajs.append(ga_run(cfg, h, obj, stream_rng(SEED, r, STREAM_SEARCH)))
+        ev = SelectionEvaluator(cfg, realize_channel(cfg, r))
+        trajs.append(ga_run(ev, stream_rng(SEED, r, STREAM_SEARCH)))
     return trajs, time.perf_counter() - t0
 
 
 def test_c01_oracle_equivalence():
     cfg = SystemConfig(M=4, N=2, N_vec=8, k=0.0, P_dB=10.0, N_it=50, L=10, S=5,
                        seed=SEED)
-    obj = Objective(kind=ObjectiveKind.THROUGHPUT, alpha=cfg.alpha)
     t0 = time.perf_counter()
     attained = 0
     gaps = []
     for r in range(200):
-        h = realize_channel(cfg, r).H
-        _, opt = exhaustive_search(cfg, h, obj)
-        traj = ga_run(cfg, h, obj, stream_rng(SEED, r, STREAM_SEARCH))
+        ev = SelectionEvaluator(cfg, realize_channel(cfg, r))
+        _, opt = exhaustive_search(ev)
+        traj = ga_run(ev, stream_rng(SEED, r, STREAM_SEARCH))
         if abs(traj.final_raw - opt) <= 1e-9 * max(1.0, abs(opt)):
             attained += 1
         gaps.append(max(0.0, opt - traj.final_raw) / abs(opt))
@@ -222,8 +220,7 @@ def test_c10_invariant_suite():
     mono = True
     for r in range(15):
         cfg = SystemConfig(M=16, N=4, N_vec=32, N_it=40, seed=SEED)
-        h = realize_channel(cfg, r).H
-        traj = ga_run(cfg, h, Objective(), stream_rng(SEED, r, STREAM_SEARCH))
+        traj = ga_run(SelectionEvaluator(cfg, realize_channel(cfg, r)), stream_rng(SEED, r, STREAM_SEARCH))
         mono &= bool(np.all(np.diff(traj.raw_scores) >= 0))
     checks.append((mono, "elitism keeps best score non-decreasing (15 runs)"))
 

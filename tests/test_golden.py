@@ -21,8 +21,7 @@ import pytest
 from beamsel.channel import STREAM_SEARCH, realize_channel, stream_rng
 from beamsel.cli import main as cli_main
 from beamsel.core import SystemConfig
-from beamsel.metrics import Objective
-from beamsel.search import ga_run
+from beamsel.search import SelectionEvaluator, ga_run
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 OVERRIDES = ("--set", "realizations=3", "--set", "N_it=25")
@@ -114,7 +113,7 @@ def ga_digest(shape: str) -> str:
     cfg = SystemConfig(**GA_SHAPES[shape], N_it=30, L=10, S=5, P_dB=10.0, seed=2024)
     digest = hashlib.sha256()
     for r in range(3):
-        traj = ga_run(cfg, realize_channel(cfg, r).H, Objective(alpha=cfg.alpha),
+        traj = ga_run(SelectionEvaluator(cfg, realize_channel(cfg, r)),
                       stream_rng(cfg.seed, r, STREAM_SEARCH))
         for arr in (traj.queens, traj.raw_scores, traj.weighted_bases):
             digest.update(arr.tobytes())

@@ -21,7 +21,7 @@ from beamsel.harness import (
     write_result_files,
 )
 from beamsel.metrics import ObjectiveKind
-from beamsel.search import STREAM_LAYOUT, GaTrajectory
+from beamsel.search import STREAM_LAYOUT, GaTrajectory, SelectionEvaluator
 
 
 def _traj(raw, alpha=0.0, n=2):
@@ -118,13 +118,42 @@ def test_experiment_points():
     assert all(c.M == base.M and c.seed == base.seed for _, c in pts)
 
 
-def test_objective_for_tracks_point_config():
-    base = _base(alpha=0.002, theta_dB=-2.0)
-    ec = ExperimentConfig(base=base, objective_kind=ObjectiveKind.OUTAGE_THROUGHPUT)
-    obj = ec.objective_for(base)
-    assert obj.kind is ObjectiveKind.OUTAGE_THROUGHPUT
-    assert obj.alpha == 0.002
-    assert obj.theta_dB == -2.0
+def test_point_search_uses_point_threshold_and_alpha():
+    # The count objective's raw score is the served count under the search's
+    # threshold. With alpha = 0 the K* queen holds the final score, so it must
+    # equal the count served_stats makes at the point's own theta_dB.
+    base = _base(N=4, P_dB=0.0, alpha=0.0, realizations=1)
+    ec = ExperimentConfig(base=base, objective_kind=ObjectiveKind.OUTAGE_COUNT,
+                          sweep_key="theta_dB", sweep_values=(-3.0, 6.0))
+    served = []
+    for _, cfg in ec.points():
+        outcome = _run_realization(ec, cfg, 0)
+        assert outcome.served == outcome.raw_curve[outcome.kstar - 1]
+        served.append(outcome.served)
+    assert served[0] > served[1]  # the two thresholds serve different counts
+    # Under the rate-sum objective the weighted curve is (1 - alpha*K) times the raw one.
+    ec = ExperimentConfig(base=_base(realizations=1), sweep_key="alpha", sweep_values=(0.0, 0.01))
+    for _, cfg in ec.points():
+        outcome = _run_realization(ec, cfg, 0)
+        k = np.arange(1, cfg.N_it + 1)
+        np.testing.assert_array_equal(outcome.weighted_curve, (1.0 - cfg.alpha * k) * outcome.raw_curve)
+
+
+def test_one_evaluator_per_realization(monkeypatch):
+    # The GA, the K* rescoring and both baselines share one gain table.
+    builds = []
+    init = SelectionEvaluator.__init__
+
+    def counting_init(self, *args, **kwargs):
+        builds.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(SelectionEvaluator, "__init__", counting_init)
+    ec = ExperimentConfig(base=_base(M=4, N=2, N_vec=8, N_it=5, realizations=3),
+                          baselines=("random", "exhaustive"))
+    result = run_experiment(ec)
+    assert not result.errors and set(result.points[0].baseline_means) == {"random", "exhaustive"}
+    assert len(builds) == 3
 
 
 def test_run_experiment_shapes_and_determinism():

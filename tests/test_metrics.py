@@ -8,12 +8,9 @@ from hypothesis import strategies as st
 from beamsel.codebook import build_dft_codebook
 from beamsel.core import BeamSelection, ComplexMatrix, IDEAL_PA, PaParams, db_to_linear
 from beamsel.metrics import (
-    Objective,
     ObjectiveKind,
     SaturationError,
     min_rate_for_threshold,
-    pa_consumed_power,
-    pa_effective_efficiency,
     pa_output_power,
     rates,
     served_stats,
@@ -25,6 +22,8 @@ from scalar_oracle import (
     evaluate_objective,
     materialize,
     outage_throughput,
+    pa_consumed_power,
+    pa_effective_efficiency,
     sinr,
     throughput,
 )
@@ -272,21 +271,19 @@ def test_objective_kind_parsing():
 
 
 def test_evaluate_objective_throughput():
-    obj = Objective(kind=ObjectiveKind.THROUGHPUT, alpha=0.0)
-    assert evaluate_objective(obj, np.array([1.0, 2.0]), 1) == 3.0
+    assert evaluate_objective(ObjectiveKind.THROUGHPUT, np.array([1.0, 2.0]), 1, alpha=0.0) == 3.0
 
 
 def test_evaluate_objective_outage_throughput_matches_when_threshold_is_low():
     r = np.array([0.8, 1.3, 2.2])
-    plain = Objective(kind=ObjectiveKind.THROUGHPUT, alpha=0.001)
-    gated = Objective(kind=ObjectiveKind.OUTAGE_THROUGHPUT, alpha=0.001, theta_dB=-100.0)
-    assert evaluate_objective(gated, r, 7) == pytest.approx(evaluate_objective(plain, r, 7))
+    plain = evaluate_objective(ObjectiveKind.THROUGHPUT, r, 7, alpha=0.001)
+    gated = evaluate_objective(ObjectiveKind.OUTAGE_THROUGHPUT, r, 7, alpha=0.001, theta_dB=-100.0)
+    assert gated == pytest.approx(plain)
 
 
 def test_evaluate_objective_outage_count_orders_lexicographically():
-    obj = Objective(kind=ObjectiveKind.OUTAGE_COUNT, theta_dB=0.0)
-    more_served = evaluate_objective(obj, np.array([1.1, 1.1, 0.0]), 1)
-    fewer_served = evaluate_objective(obj, np.array([0.0, 9.0, 0.5]), 1)
+    more_served = evaluate_objective(ObjectiveKind.OUTAGE_COUNT, np.array([1.1, 1.1, 0.0]), 1, theta_dB=0.0)
+    fewer_served = evaluate_objective(ObjectiveKind.OUTAGE_COUNT, np.array([0.0, 9.0, 0.5]), 1, theta_dB=0.0)
     assert more_served == (2, pytest.approx(2.2))
     assert fewer_served[0] == 1
     # two served beats one served no matter how large the single rate is

@@ -6,7 +6,7 @@ import pytest
 from beamsel.channel import realize_channel, stream_rng, STREAM_SEARCH
 from beamsel.codebook import build_dft_codebook
 from beamsel.core import BeamSelection, ComplexMatrix, PaParams, SystemConfig, db_to_linear
-from beamsel.metrics import Objective, ObjectiveKind, pa_output_power, rates
+from beamsel.metrics import ObjectiveKind, pa_output_power, rates
 from beamsel.search import (
     SearchSpaceError,
     _draw_selection,
@@ -21,9 +21,6 @@ from beamsel.search import (
 )
 from scalar_oracle import channel_gain, materialize, sinr
 
-THROUGHPUT = Objective(kind=ObjectiveKind.THROUGHPUT, alpha=0.001)
-
-
 def _cfg(**kw):
     base = dict(M=8, N=2, N_vec=16, N_it=40, seed=1)
     base.update(kw)
@@ -31,10 +28,10 @@ def _cfg(**kw):
 
 
 def _channel(cfg, r=0):
-    return realize_channel(cfg, r).H
+    return realize_channel(cfg, r)
 
 
-def reference_scores(cfg, h, sels_0based, objective):
+def reference_scores(cfg, h, sels_0based):
     """Oracle scoring path: materialize each candidate and walk the full op
     chain (gain matrix -> SINR -> rates -> objective) one candidate at a time.
     """
@@ -216,11 +213,11 @@ def test_mutate_stays_valid_across_random_shapes():
 def test_evaluator_matches_reference_op_chain():
     cfg = _cfg(M=8, N=4, N_vec=16, P_dB=10.0)
     h = _channel(cfg)
-    ev = SelectionEvaluator(cfg, h, THROUGHPUT)
+    ev = SelectionEvaluator(cfg, h)
     rng = np.random.default_rng(21)
     sels = np.array([rng.choice(16, size=4, replace=False) for _ in range(32)])
     batch = ev.evaluate(sels)
-    want = reference_scores(cfg, h, sels, THROUGHPUT)
+    want = reference_scores(cfg, h, sels)
     np.testing.assert_allclose(batch.user_rates, want, rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(batch.raw, want.sum(axis=1), rtol=1e-12)
 
@@ -229,27 +226,26 @@ def test_evaluator_applies_amplifier_to_power_budget():
     pa = PaParams(epsilon=0.5, mu=0.5, rho_max_dB=35.0)
     cfg = _cfg(M=8, N=2, N_vec=16, P_dB=30.0, pa=pa)
     h = _channel(cfg)
-    ev = SelectionEvaluator(cfg, h, THROUGHPUT)
+    ev = SelectionEvaluator(cfg, h)
     sel = np.array([[0, 5]])
     got = ev.evaluate(sel).user_rates[0]
-    want = reference_scores(cfg, h, sel, THROUGHPUT)[0]
+    want = reference_scores(cfg, h, sel)[0]
     np.testing.assert_allclose(got, want, rtol=1e-12)
     # and the radiated power really is below the consumed power
     assert pa_output_power(cfg.P_linear, pa) < cfg.P_linear
 
 
 def test_evaluator_outage_variants():
-    cfg = _cfg(M=8, N=4, N_vec=16, P_dB=0.0)
+    cfg = _cfg(M=8, N=4, N_vec=16, P_dB=0.0, alpha=0.0, theta_dB=0.0)
     h = _channel(cfg)
-    obj = Objective(kind=ObjectiveKind.OUTAGE_THROUGHPUT, alpha=0.0, theta_dB=0.0)
-    ev = SelectionEvaluator(cfg, h, obj)
+    ev = SelectionEvaluator(cfg, h, ObjectiveKind.OUTAGE_THROUGHPUT)
     rng = np.random.default_rng(2)
     sels = np.array([rng.choice(16, size=4, replace=False) for _ in range(16)])
     batch = ev.evaluate(sels)
     served_mask = batch.user_rates >= 1.0  # theta 0 dB needs rate 1
     np.testing.assert_array_equal(batch.served, served_mask.sum(axis=1))
     np.testing.assert_allclose(batch.raw, np.where(served_mask, batch.user_rates, 0.0).sum(axis=1))
-    count = SelectionEvaluator(cfg, h, Objective(kind=ObjectiveKind.OUTAGE_COUNT, theta_dB=0.0))
+    count = SelectionEvaluator(cfg, h, ObjectiveKind.OUTAGE_COUNT)
     cbatch = count.evaluate(sels)
     np.testing.assert_array_equal(cbatch.raw, cbatch.served.astype(float))
     np.testing.assert_allclose(cbatch.total_sum, batch.user_rates.sum(axis=1))
@@ -259,23 +255,22 @@ def test_evaluator_rejects_channel_shape_mismatch():
     cfg = _cfg(M=8, N=2, N_vec=16)
     bad = ComplexMatrix(np.ones((3, 8)))
     with pytest.raises(ValueError):
-        SelectionEvaluator(cfg, bad, THROUGHPUT)
+        SelectionEvaluator(cfg, bad)
 
 
 def test_best_index_breaks_ties_toward_lowest():
-    cfg = _cfg(M=8, N=2, N_vec=16)
-    ev = SelectionEvaluator(cfg, _channel(cfg), THROUGHPUT)
+    cfg = _cfg(M=8, N=2, N_vec=16, theta_dB=0.0)
+    ev = SelectionEvaluator(cfg, _channel(cfg))
     same = np.array([[1, 2], [1, 2], [1, 2]])
     assert ev.evaluate(same).best_index() == 0
-    count_ev = SelectionEvaluator(cfg, _channel(cfg),
-                                  Objective(kind=ObjectiveKind.OUTAGE_COUNT, theta_dB=0.0))
+    count_ev = SelectionEvaluator(cfg, _channel(cfg), ObjectiveKind.OUTAGE_COUNT)
     assert count_ev.evaluate(same).best_index() == 0
 
 
 def test_ga_scores_never_decrease():
     cfg = _cfg(M=16, N=4, N_vec=32, N_it=60)
     h = _channel(cfg)
-    traj = ga_run(cfg, h, THROUGHPUT, stream_rng(cfg.seed, 0, STREAM_SEARCH))
+    traj = ga_run(SelectionEvaluator(cfg, h), stream_rng(cfg.seed, 0, STREAM_SEARCH))
     assert traj.n_it == 60
     assert np.all(np.diff(traj.raw_scores) >= 0.0)
 
@@ -283,8 +278,8 @@ def test_ga_scores_never_decrease():
 def test_ga_deterministic_given_stream():
     cfg = _cfg(M=8, N=2, N_vec=16, N_it=25)
     h = _channel(cfg)
-    a = ga_run(cfg, h, THROUGHPUT, stream_rng(9, 3, STREAM_SEARCH))
-    b = ga_run(cfg, h, THROUGHPUT, stream_rng(9, 3, STREAM_SEARCH))
+    a = ga_run(SelectionEvaluator(cfg, h), stream_rng(9, 3, STREAM_SEARCH))
+    b = ga_run(SelectionEvaluator(cfg, h), stream_rng(9, 3, STREAM_SEARCH))
     np.testing.assert_array_equal(a.queens, b.queens)
     np.testing.assert_array_equal(a.raw_scores, b.raw_scores)
 
@@ -292,12 +287,10 @@ def test_ga_deterministic_given_stream():
 def test_ga_trajectory_independent_of_alpha():
     # The delay factor is applied after the fact; the search itself ranks by
     # the undiscounted score, so alpha must not steer it.
-    cfg = _cfg(M=8, N=2, N_vec=16, N_it=30)
+    cfg = _cfg(M=8, N=2, N_vec=16, N_it=30, alpha=0.001)
     h = _channel(cfg)
-    slow = ga_run(cfg, h, Objective(kind=ObjectiveKind.THROUGHPUT, alpha=0.0),
-                  stream_rng(5, 0, STREAM_SEARCH))
-    fast = ga_run(cfg, h, Objective(kind=ObjectiveKind.THROUGHPUT, alpha=0.001),
-                  stream_rng(5, 0, STREAM_SEARCH))
+    slow = ga_run(SelectionEvaluator(cfg.with_overrides(alpha=0.0), h), stream_rng(5, 0, STREAM_SEARCH))
+    fast = ga_run(SelectionEvaluator(cfg, h), stream_rng(5, 0, STREAM_SEARCH))
     np.testing.assert_array_equal(slow.queens, fast.queens)
     np.testing.assert_array_equal(slow.raw_scores, fast.raw_scores)
     np.testing.assert_allclose(slow.weighted_scores(0.001), fast.weighted_scores(), rtol=1e-15)
@@ -306,7 +299,7 @@ def test_ga_trajectory_independent_of_alpha():
 def test_ga_trajectory_accounting():
     cfg = _cfg(M=8, N=2, N_vec=16, N_it=20, L=10)
     h = _channel(cfg)
-    traj = ga_run(cfg, h, THROUGHPUT, stream_rng(1, 0, STREAM_SEARCH))
+    traj = ga_run(SelectionEvaluator(cfg, h), stream_rng(1, 0, STREAM_SEARCH))
     assert traj.evaluations_used(1) == 10
     assert traj.evaluations_used(20) == 200
     with pytest.raises(ValueError):
@@ -317,14 +310,14 @@ def test_ga_trajectory_accounting():
     assert traj.queens.min() >= 1
     assert traj.queens.max() <= 16
     sel = traj.queen(20)
-    ev = SelectionEvaluator(cfg, h, THROUGHPUT)
+    ev = SelectionEvaluator(cfg, h)
     assert float(ev.evaluate(sel.as_array()).raw[0]) == pytest.approx(traj.final_raw, rel=1e-14)
 
 
 def test_ga_weighted_scores_match_raw_for_zero_alpha():
     cfg = _cfg(M=8, N=2, N_vec=16, N_it=15)
     h = _channel(cfg)
-    traj = ga_run(cfg, h, THROUGHPUT, stream_rng(2, 0, STREAM_SEARCH))
+    traj = ga_run(SelectionEvaluator(cfg, h), stream_rng(2, 0, STREAM_SEARCH))
     np.testing.assert_allclose(traj.weighted_scores(0.0), traj.raw_scores, rtol=1e-15)
 
 
@@ -336,7 +329,7 @@ def test_search_space_size():
 def test_exhaustive_matches_explicit_enumeration():
     cfg = _cfg(M=4, N=2, N_vec=8)
     h = _channel(cfg)
-    ev = SelectionEvaluator(cfg, h, THROUGHPUT)
+    ev = SelectionEvaluator(cfg, h)
     best_score = -np.inf
     best_sel = None
     for perm in itertools.permutations(range(8), 2):
@@ -344,7 +337,7 @@ def test_exhaustive_matches_explicit_enumeration():
         if score > best_score:
             best_score = score
             best_sel = perm
-    sel, score = exhaustive_search(cfg, h, THROUGHPUT)
+    sel, score = exhaustive_search(SelectionEvaluator(cfg, h))
     assert score == pytest.approx(best_score, rel=1e-14)
     assert sel.as_array().tolist() == list(best_sel)
 
@@ -352,7 +345,7 @@ def test_exhaustive_matches_explicit_enumeration():
 def test_exhaustive_tie_breaks_to_first_enumerated():
     cfg = _cfg(M=4, N=2, N_vec=8)
     flat = ComplexMatrix(np.zeros((2, 4)))
-    sel, score = exhaustive_search(cfg, flat, THROUGHPUT)
+    sel, score = exhaustive_search(SelectionEvaluator(cfg, flat))
     assert score == 0.0
     assert sel.indices == (1, 2)
 
@@ -361,18 +354,16 @@ def test_exhaustive_refuses_oversized_space():
     cfg = _cfg(M=32, N=8, N_vec=128)
     h = _channel(cfg)
     with pytest.raises(SearchSpaceError):
-        exhaustive_search(cfg, h, THROUGHPUT)
+        exhaustive_search(SelectionEvaluator(cfg, h))
 
 
 def test_exhaustive_count_objective_returns_tuple():
-    cfg = _cfg(M=4, N=2, N_vec=8, P_dB=0.0)
-    h = _channel(cfg)
-    obj = Objective(kind=ObjectiveKind.OUTAGE_COUNT, theta_dB=0.0)
-    sel, score = exhaustive_search(cfg, h, obj)
+    cfg = _cfg(M=4, N=2, N_vec=8, P_dB=0.0, theta_dB=0.0)
+    ev = SelectionEvaluator(cfg, _channel(cfg), ObjectiveKind.OUTAGE_COUNT)
+    sel, score = exhaustive_search(ev)
     assert isinstance(score, tuple)
     served, total = score
     assert 0 <= served <= 2
-    ev = SelectionEvaluator(cfg, h, obj)
     batch = ev.evaluate(sel.as_array())
     assert int(batch.served[0]) == served
     assert float(batch.total_sum[0]) == pytest.approx(total, rel=1e-14)
@@ -380,19 +371,19 @@ def test_exhaustive_count_objective_returns_tuple():
 
 def test_random_search_budget_one_and_determinism():
     cfg = _cfg(M=8, N=2, N_vec=16)
-    h = _channel(cfg)
-    a_sel, a_score = random_search(cfg, h, THROUGHPUT, 1, np.random.default_rng(3))
-    b_sel, b_score = random_search(cfg, h, THROUGHPUT, 1, np.random.default_rng(3))
+    ev = SelectionEvaluator(cfg, _channel(cfg))
+    a_sel, a_score = random_search(ev, 1, np.random.default_rng(3))
+    b_sel, b_score = random_search(ev, 1, np.random.default_rng(3))
     assert a_sel == b_sel and a_score == b_score
     with pytest.raises(ValueError):
-        random_search(cfg, h, THROUGHPUT, 0, np.random.default_rng(3))
+        random_search(ev, 0, np.random.default_rng(3))
 
 
 def test_random_search_never_beats_exhaustive():
     cfg = _cfg(M=4, N=2, N_vec=8)
-    h = _channel(cfg)
-    _, opt = exhaustive_search(cfg, h, THROUGHPUT)
-    _, found = random_search(cfg, h, THROUGHPUT, 25, np.random.default_rng(0))
+    ev = SelectionEvaluator(cfg, _channel(cfg))
+    _, opt = exhaustive_search(ev)
+    _, found = random_search(ev, 25, np.random.default_rng(0))
     assert found <= opt + 1e-12
 
 
@@ -401,9 +392,9 @@ def test_ga_attains_small_instance_optimum_most_of_the_time():
     hits = 0
     trials = 30
     for r in range(trials):
-        h = realize_channel(cfg, r).H
-        _, opt = exhaustive_search(cfg, h, THROUGHPUT)
-        traj = ga_run(cfg, h, THROUGHPUT, stream_rng(cfg.seed, r, STREAM_SEARCH))
+        ev = SelectionEvaluator(cfg, realize_channel(cfg, r))
+        _, opt = exhaustive_search(ev)
+        traj = ga_run(ev, stream_rng(cfg.seed, r, STREAM_SEARCH))
         assert traj.final_raw <= opt + 1e-9  # can never beat the true optimum
         if traj.final_raw >= opt - 1e-9:
             hits += 1
@@ -415,10 +406,9 @@ def test_ga_beats_matched_budget_random_search_on_average():
     ga_scores = []
     rs_scores = []
     for r in range(40):
-        h = realize_channel(cfg, r).H
-        traj = ga_run(cfg, h, THROUGHPUT, stream_rng(cfg.seed, r, STREAM_SEARCH))
-        _, found = random_search(cfg, h, THROUGHPUT, cfg.L * cfg.N_it,
-                                 stream_rng(cfg.seed, r, 2))
+        ev = SelectionEvaluator(cfg, realize_channel(cfg, r))
+        traj = ga_run(ev, stream_rng(cfg.seed, r, STREAM_SEARCH))
+        _, found = random_search(ev, cfg.L * cfg.N_it, stream_rng(cfg.seed, r, 2))
         ga_scores.append(traj.final_raw)
         rs_scores.append(found)
     assert np.mean(ga_scores) > np.mean(rs_scores)
@@ -427,17 +417,15 @@ def test_ga_beats_matched_budget_random_search_on_average():
 def test_count_objective_serves_at_least_as_many_users():
     # Optimizing the served count directly should not serve fewer users than
     # optimizing the rate sum, on average.
-    cfg = _cfg(M=8, N=4, N_vec=16, N_it=30, P_dB=0.0)
-    theta = 0.0
-    count_obj = Objective(kind=ObjectiveKind.OUTAGE_COUNT, theta_dB=theta)
+    cfg = _cfg(M=8, N=4, N_vec=16, N_it=30, P_dB=0.0, theta_dB=0.0)
     served_count = []
     served_thr = []
     for r in range(40):
-        h = realize_channel(cfg, r).H
-        t_count = ga_run(cfg, h, count_obj, stream_rng(cfg.seed, r, STREAM_SEARCH))
-        t_thr = ga_run(cfg, h, THROUGHPUT, stream_rng(cfg.seed, r, STREAM_SEARCH))
+        h = realize_channel(cfg, r)
+        ev = SelectionEvaluator(cfg, h, ObjectiveKind.OUTAGE_COUNT)
+        t_count = ga_run(ev, stream_rng(cfg.seed, r, STREAM_SEARCH))
+        t_thr = ga_run(SelectionEvaluator(cfg, h), stream_rng(cfg.seed, r, STREAM_SEARCH))
         served_count.append(t_count.raw_scores[-1])
-        ev = SelectionEvaluator(cfg, h, count_obj)
         final = t_thr.queen(t_thr.n_it).as_array()
         served_thr.append(int(ev.evaluate(final).served[0]))
     assert np.mean(served_count) >= np.mean(served_thr)
