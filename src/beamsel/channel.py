@@ -41,10 +41,7 @@ def build_los(cfg: SystemConfig) -> ComplexMatrix:
     """Deterministic N x M line-of-sight component.
 
     The leading diagonal carries beta*(1+j); every other entry carries c*(1+j)
-    with c chosen so the matrix has total power N*M ("normalized", the
-    default). The "verbatim" variant uses c = sqrt((N*M - d*beta^2)/d) with
-    d = min(N, M) instead, which concentrates far more power off-diagonal and
-    is kept only for comparison runs.
+    with c chosen so the matrix has total power N*M.
     """
     n, m, beta = cfg.N, cfg.M, cfg.beta
     if beta < 0:
@@ -55,12 +52,7 @@ def build_los(cfg: SystemConfig) -> ComplexMatrix:
     total = n * m
     h = np.zeros((n, m), dtype=np.complex128)
     if total > d:
-        if cfg.los_formula == "normalized":
-            c = math.sqrt((total - 2.0 * d * beta**2) / (2.0 * (total - d)))
-        elif cfg.los_formula == "verbatim":
-            c = math.sqrt((total - d * beta**2) / d)
-        else:
-            raise ValueError(f"unknown los_formula {cfg.los_formula!r}")
+        c = math.sqrt((total - 2.0 * d * beta**2) / (2.0 * (total - d)))
         h[:] = c * (1.0 + 1.0j)
     for i in range(d):
         h[i, i] = beta * (1.0 + 1.0j)

@@ -15,9 +15,8 @@ else has a default.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -28,18 +27,6 @@ from .harness import ExperimentConfig, apply_settings, run_experiment, write_res
 from .search import SearchSpaceError, SelectionEvaluator, exhaustive_search, ga_run, search_space_size
 
 REQUIRED_KEYS = ("M", "N", "N_vec")
-
-
-@dataclass(frozen=True)
-class CliInvocation:
-    """A fully parsed command line."""
-
-    command: str
-    config_path: str
-    overrides: tuple[str, ...] = ()
-    out_dir: str = "results"
-    seed: int | None = None
-    workers: int = 1
 
 
 def _parse_lines(text: str, source: str) -> dict[str, tuple[str, int]]:
@@ -88,11 +75,10 @@ def apply_cli_overrides(ec: ExperimentConfig, sets: tuple[str, ...]) -> Experime
     return apply_settings(ec, settings)
 
 
-def _load_experiment(inv: CliInvocation) -> ExperimentConfig:
-    ec = parse_config(inv.config_path)
-    ec = apply_cli_overrides(ec, inv.overrides)
-    if inv.seed is not None:
-        ec = replace(ec, base=ec.base.with_overrides(seed=inv.seed))
+def _load_experiment(args: argparse.Namespace) -> ExperimentConfig:
+    ec = apply_cli_overrides(parse_config(args.config), tuple(args.sets))
+    if args.seed is not None:
+        ec = replace(ec, base=ec.base.with_overrides(seed=args.seed))
     return ec
 
 
@@ -116,39 +102,39 @@ def _print_point_table(result, convergence_view: bool) -> None:
         print(f"point {sv}: FAILED: {err.message}", file=sys.stderr)
 
 
-def _run_and_write(ec: ExperimentConfig, inv: CliInvocation, convergence_view: bool) -> int:
-    result = run_experiment(ec, workers=inv.workers)
-    written = write_result_files(result, inv.out_dir)
+def _run_and_write(ec: ExperimentConfig, args: argparse.Namespace, convergence_view: bool) -> int:
+    result = run_experiment(ec, workers=args.workers)
+    written = write_result_files(result, args.out)
     _print_point_table(result, convergence_view)
-    print(f"wrote {len(written)} files to {Path(inv.out_dir).resolve()}")
+    print(f"wrote {len(written)} files to {Path(args.out).resolve()}")
     return 1 if result.errors or not result.points else 0
 
 
-def command_run(inv: CliInvocation) -> int:
-    ec = _load_experiment(inv)
+def command_run(args: argparse.Namespace) -> int:
+    ec = _load_experiment(args)
     if ec.sweep_key is not None:
         print(f"note: config declares a sweep over {ec.sweep_key!r}; "
               f"'run' executes only the base configuration (use 'sweep' for the full grid)",
               file=sys.stderr)
         ec = replace(ec, sweep_key=None, sweep_values=())
-    return _run_and_write(ec, inv, convergence_view=False)
+    return _run_and_write(ec, args, convergence_view=False)
 
 
-def command_sweep(inv: CliInvocation) -> int:
-    ec = _load_experiment(inv)
+def command_sweep(args: argparse.Namespace) -> int:
+    ec = _load_experiment(args)
     if ec.sweep_key is None:
         raise ConfigError("'sweep' needs a config with sweep= and sweep_values= "
                           "(or --set sweep=... --set sweep_values=...)")
-    return _run_and_write(ec, inv, convergence_view=False)
+    return _run_and_write(ec, args, convergence_view=False)
 
 
-def command_convergence(inv: CliInvocation) -> int:
-    ec = _load_experiment(inv)
-    return _run_and_write(ec, inv, convergence_view=True)
+def command_convergence(args: argparse.Namespace) -> int:
+    ec = _load_experiment(args)
+    return _run_and_write(ec, args, convergence_view=True)
 
 
-def command_validate(inv: CliInvocation) -> int:
-    ec = _load_experiment(inv)
+def command_validate(args: argparse.Namespace) -> int:
+    ec = _load_experiment(args)
     points = ec.points()
     ok = True
     for sweep_value, cfg in points:
@@ -161,7 +147,7 @@ def command_validate(inv: CliInvocation) -> int:
     return 0 if ok else 1
 
 
-def command_oracle_check(inv: CliInvocation, attainment_threshold: float = 0.95,
+def command_oracle_check(args: argparse.Namespace, attainment_threshold: float = 0.95,
                          tolerance: float = 1e-9) -> int:
     """Run the genetic search against exhaustive enumeration on a small config.
 
@@ -169,7 +155,7 @@ def command_oracle_check(inv: CliInvocation, attainment_threshold: float = 0.95,
     the final raw score matches it to the relative tolerance. Exits 0 only
     when the attainment fraction reaches the threshold.
     """
-    ec = _load_experiment(inv)
+    ec = _load_experiment(args)
     cfg = require_valid(ec.base)
     size = search_space_size(cfg)
     attained = 0
@@ -179,10 +165,8 @@ def command_oracle_check(inv: CliInvocation, attainment_threshold: float = 0.95,
         _, opt = exhaustive_search(ev)
         traj = ga_run(ev, stream_rng(cfg.seed, r, STREAM_SEARCH))
         found = traj.final_raw
-        opt_scalar = float(opt[0]) if isinstance(opt, tuple) else float(opt)
-        gap = max(0.0, opt_scalar - found) / max(abs(opt_scalar), 1e-300)
-        gaps.append(gap)
-        if abs(found - opt_scalar) <= tolerance * max(1.0, abs(opt_scalar)):
+        gaps.append(max(0.0, opt - found) / max(abs(opt), 1e-300))
+        if abs(found - opt) <= tolerance * max(1.0, abs(opt)):
             attained += 1
     fraction = attained / cfg.realizations
     mean_gap = float(np.mean(gaps))
@@ -191,7 +175,7 @@ def command_oracle_check(inv: CliInvocation, attainment_threshold: float = 0.95,
     print(f"attainment: {attained}/{cfg.realizations} = {fraction:.4f} "
           f"(threshold {attainment_threshold})")
     print(f"mean relative gap: {mean_gap:.3e}")
-    out = Path(inv.out_dir)
+    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     report = out / "oracle_check.csv"
     with open(report, "w", encoding="utf-8", newline="\n") as f:
@@ -199,18 +183,6 @@ def command_oracle_check(inv: CliInvocation, attainment_threshold: float = 0.95,
         f.write(f"{cfg.realizations},{attained},{repr(fraction)},{repr(mean_gap)},{size}\n")
     print(f"wrote {report}")
     return 0 if fraction >= attainment_threshold else 1
-
-
-def _resolve_workers(flag_value: int | None) -> int:
-    if flag_value is not None:
-        return flag_value
-    env = os.environ.get("BEAMSEL_WORKERS", "").strip()
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            raise ConfigError(f"BEAMSEL_WORKERS must be an integer, got {env!r}") from None
-    return 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -223,8 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="override a config key (repeatable, applied after the file)")
     common.add_argument("--out", default="results", help="output directory (default: results)")
     common.add_argument("--seed", type=int, default=None, help="override the root seed")
-    common.add_argument("--workers", type=int, default=None,
-                        help="parallel workers (default: BEAMSEL_WORKERS or 1)")
+    common.add_argument("--workers", type=int, default=1, help="parallel workers (default: 1)")
     sub.add_parser("run", parents=[common], help="run the base configuration")
     sub.add_parser("sweep", parents=[common], help="run every sweep point")
     sub.add_parser("convergence", parents=[common], help="run and report stopping iterations")
@@ -247,15 +218,11 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        workers = _resolve_workers(args.workers)
-        if workers < 1:
-            raise ConfigError(f"workers must be at least 1, got {workers}")
+        if args.workers < 1:
+            raise ConfigError(f"workers must be at least 1, got {args.workers}")
         if args.seed is not None and not 0 <= args.seed < 2**64:
             raise ConfigError(f"seed must fit in an unsigned 64-bit integer, got {args.seed}")
-        inv = CliInvocation(command=args.command, config_path=args.config,
-                            overrides=tuple(args.sets), out_dir=args.out,
-                            seed=args.seed, workers=workers)
-        return _COMMANDS[inv.command](inv)
+        return _COMMANDS[args.command](args)
     except (ConfigError, SearchSpaceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,12 +25,15 @@ class Codebook:
         return self.w.cols
 
 
+@functools.lru_cache(maxsize=32)
 def build_dft_codebook(m: int, n_vec: int) -> Codebook:
     """Build the oversampled M x N_vec DFT codebook.
 
     Entry (u, v) is exp(-j*2*pi*u*v / N_vec) for 0-based u, v, so every entry
     has unit modulus and the first row and column are all ones. Power scaling
-    is applied downstream, not here.
+    is applied downstream, not here. The codebook depends only on its shape
+    and its matrix is read-only, so one instance per shape is cached and
+    shared by every realization.
     """
     if m < 1:
         raise ValueError(f"codebook needs at least one antenna row, got M={m}")

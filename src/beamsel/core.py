@@ -1,10 +1,9 @@
-"""Core types shared by the whole package: matrices, configuration, beam selections."""
+"""Core types shared by the whole package: matrices and configuration."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable
 
 import numpy as np
 
@@ -107,7 +106,6 @@ class SystemConfig:
     pa: PaParams = IDEAL_PA    # amplifier model applied to the power budget
     realizations: int = 500    # Monte Carlo channel draws per experiment point
     seed: int = 12345          # root seed for all random streams
-    los_formula: str = "normalized"  # "normalized" (unit Frobenius power) or "verbatim"
 
     @property
     def P_linear(self) -> float:
@@ -171,8 +169,6 @@ def validate_config(cfg: SystemConfig) -> list[str]:
         errs.append(f"realizations >= 1 violated (realizations={cfg.realizations})")
     if not 0 <= cfg.seed < 2**64:
         errs.append(f"seed must fit in an unsigned 64-bit integer (seed={cfg.seed})")
-    if cfg.los_formula not in ("normalized", "verbatim"):
-        errs.append(f"los_formula must be 'normalized' or 'verbatim' (got {cfg.los_formula!r})")
     if not errs:
         # Whether the amplifier can deliver the budget (mu > 0 needs a finite
         # saturation power, and the output must stay below it) is decided by
@@ -195,42 +191,3 @@ def require_valid(cfg: SystemConfig) -> SystemConfig:
     if errs:
         raise ConfigError("invalid configuration: " + "; ".join(errs))
     return cfg
-
-
-@dataclass(frozen=True)
-class BeamSelection:
-    """An ordered assignment of distinct codebook columns to users.
-
-    Indices are 1-based: user i is served by codebook column indices[i].
-    Order matters; (3, 1) and (1, 3) serve the users with swapped beams.
-    """
-
-    indices: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        idx = tuple(int(u) for u in self.indices)
-        object.__setattr__(self, "indices", idx)
-        if len(idx) == 0:
-            raise ValueError("beam selection must assign at least one user")
-        if any(u < 1 for u in idx):
-            raise ValueError(f"codebook columns are 1-based, got {idx}")
-        if len(set(idx)) != len(idx):
-            raise ValueError(f"beam selection has duplicate columns: {idx}")
-
-    def __len__(self) -> int:
-        return len(self.indices)
-
-    def check_range(self, n_vec: int) -> None:
-        """Raise if any index addresses a column beyond the codebook width."""
-        bad = [u for u in self.indices if u > n_vec]
-        if bad:
-            raise ValueError(f"beam indices {bad} exceed codebook size N_vec={n_vec}")
-
-    def as_array(self) -> np.ndarray:
-        """Indices as a 0-based int64 array (internal array convention)."""
-        return np.asarray(self.indices, dtype=np.int64) - 1
-
-    @classmethod
-    def from_array(cls, sel0: Iterable[int]) -> "BeamSelection":
-        """Build from 0-based indices."""
-        return cls(tuple(int(u) + 1 for u in sel0))

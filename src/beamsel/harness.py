@@ -57,7 +57,6 @@ CONFIG_KEYS: dict[str, ConfigKey] = {
     "pa_epsilon": ConfigKey(float, "pa", "epsilon"),
     "pa_mu": ConfigKey(float, "pa", "mu"),
     "pa_rho_max_dB": ConfigKey(float, "pa", "rho_max_dB"),
-    "los_formula": ConfigKey(str, "system", "los_formula"),
     "objective": ConfigKey(ObjectiveKind.from_string, "experiment", "objective_kind"),
     "sweep": ConfigKey(str, "experiment", "sweep_key"),
     "sweep_values": ConfigKey(_list_of(float), "experiment", "sweep_values"),
@@ -208,7 +207,7 @@ def _run_realization(ec: ExperimentConfig, cfg: SystemConfig, index: int) -> Rea
     weighted = traj.weighted_scores()
     kstar = convergence_iteration(traj)
     kstar0 = convergence_iteration(traj, alpha=0.0, tol=ec.convergence_tol)
-    user_rates = ev.evaluate(traj.queens[kstar - 1] - 1).user_rates[0]
+    user_rates = ev.evaluate(traj.queens[kstar - 1]).user_rates[0]
     served, flags = served_stats(user_rates, cfg.theta_dB)
     constrained = np.where(flags, 0.0, user_rates)
     baseline_scores: dict[str, float] = {}
@@ -216,10 +215,9 @@ def _run_realization(ec: ExperimentConfig, cfg: SystemConfig, index: int) -> Rea
         brng = stream_rng(cfg.seed, index, STREAM_BASELINE)
         for name in ec.baselines:
             if name == "random":
-                _, score = random_search(ev, cfg.L * cfg.N_it, brng)
+                _, baseline_scores[name] = random_search(ev, cfg.L * cfg.N_it, brng)
             else:
-                _, score = exhaustive_search(ev)
-            baseline_scores[name] = float(score[0]) if isinstance(score, tuple) else float(score)
+                _, baseline_scores[name] = exhaustive_search(ev)
     return RealizationOutcome(
         weighted_curve=weighted,
         raw_curve=traj.raw_scores,

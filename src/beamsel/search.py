@@ -1,9 +1,9 @@
 """Beam selection search: genetic algorithm plus exhaustive and random baselines.
 
-Populations are int64 arrays of shape (members, N) holding 0-based codebook
-column indices; the public BeamSelection type stays 1-based. Every search in
-this module scores candidates through SelectionEvaluator so the genetic
-algorithm, the baselines, and the reported statistics share one code path.
+A selection is an int64 row of N distinct 0-based codebook column indices;
+populations stack them into (members, N) arrays. Every search in this module
+scores candidates through SelectionEvaluator so the genetic algorithm, the
+baselines, and the reported statistics share one code path.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codebook import build_dft_codebook
-from .core import BeamSelection, ComplexMatrix, DimensionError, SystemConfig, require_valid
+from .core import ComplexMatrix, DimensionError, SystemConfig, require_valid
 from .metrics import ObjectiveKind, min_rate_for_threshold, pa_output_power, rates, sinr_from_components
 
 
@@ -167,7 +167,7 @@ def mutate(parent: np.ndarray, count: int, cfg: SystemConfig, rng: np.random.Gen
 class GaTrajectory:
     """Per-iteration record of a genetic algorithm run.
 
-    queens holds the best selection of each iteration (1-based columns).
+    queens holds the best selection of each iteration (0-based columns).
     raw_scores is the undiscounted objective scalar of that queen: sum rate,
     served-user rate sum, or served-user count depending on the objective.
     weighted_bases is the rate sum that the delay factor (1 - alpha*K)
@@ -175,33 +175,20 @@ class GaTrajectory:
     for reporting even though the search ranks by count.
     """
 
-    queens: np.ndarray         # (N_it, N) int64, 1-based
+    queens: np.ndarray         # (N_it, N) int64, 0-based
     raw_scores: np.ndarray     # (N_it,)
     weighted_bases: np.ndarray # (N_it,)
     alpha: float
-    L: int
 
     @property
     def n_it(self) -> int:
         return self.raw_scores.size
-
-    def evaluations_used(self, k_it: int) -> int:
-        """Objective evaluations consumed after k_it iterations: L per iteration."""
-        if not 1 <= k_it <= self.n_it:
-            raise ValueError(f"iteration index must be in [1, {self.n_it}], got {k_it}")
-        return self.L * k_it
 
     def weighted_scores(self, alpha: float | None = None) -> np.ndarray:
         """Delay-weighted score per iteration, optionally under a different alpha."""
         a = self.alpha if alpha is None else alpha
         k = np.arange(1, self.n_it + 1, dtype=np.float64)
         return (1.0 - a * k) * self.weighted_bases
-
-    def queen(self, k_it: int) -> BeamSelection:
-        """The best selection found by iteration k_it (1-based)."""
-        if not 1 <= k_it <= self.n_it:
-            raise ValueError(f"iteration index must be in [1, {self.n_it}], got {k_it}")
-        return BeamSelection(tuple(int(u) for u in self.queens[k_it - 1]))
 
     @property
     def final_raw(self) -> float:
@@ -234,8 +221,7 @@ def ga_run(ev: SelectionEvaluator, rng: np.random.Generator) -> GaTrajectory:
         nxt[1:cfg.S + 1] = mutate(pop[b], cfg.S, cfg, rng)
         nxt[cfg.S + 1:] = _draw_selection(cfg.L - cfg.S - 1, cfg.N, cfg.N_vec, rng)
         pop = nxt
-    return GaTrajectory(queens=queens + 1, raw_scores=raw, weighted_bases=base,
-                        alpha=cfg.alpha, L=cfg.L)
+    return GaTrajectory(queens=queens, raw_scores=raw, weighted_bases=base, alpha=cfg.alpha)
 
 
 def search_space_size(cfg: SystemConfig) -> int:
@@ -243,31 +229,31 @@ def search_space_size(cfg: SystemConfig) -> int:
     return math.perm(cfg.N_vec, cfg.N)
 
 
-def _best_of_chunks(ev: SelectionEvaluator, chunks):
-    """Score each (B, N) chunk of 0-based selections and return (best, score).
+def _best_of_chunks(ev: SelectionEvaluator, chunks) -> tuple[np.ndarray, float]:
+    """Score each (B, N) chunk of selections and return (best row, raw score).
 
-    Ties resolve to the earliest member: within a chunk through best_index,
-    across chunks because only a strictly better score replaces the best.
+    Members are ranked by EvalBatch.comparable, so the count objective breaks
+    served-count ties by sum rate; the returned score is the winner's raw
+    score. Ties resolve to the earliest member: within a chunk through
+    best_index, across chunks because only a strictly better score replaces
+    the best.
     """
-    best_sel: np.ndarray | None = None
-    best_cmp = None
+    best_cmp = best_sel = best_raw = None
     for arr in chunks:
         batch = ev.evaluate(arr)
         i = batch.best_index()
         cmp = batch.comparable(i)
         if best_cmp is None or cmp > best_cmp:
-            best_cmp = cmp
-            best_sel = arr[i]
-    return BeamSelection.from_array(best_sel), best_cmp
+            best_cmp, best_sel, best_raw = cmp, arr[i], float(batch.raw[i])
+    return best_sel, best_raw
 
 
-def exhaustive_search(ev: SelectionEvaluator):
-    """Enumerate every ordered selection and return (best, score).
+def exhaustive_search(ev: SelectionEvaluator) -> tuple[np.ndarray, float]:
+    """Enumerate every ordered selection and return (best row, raw score).
 
-    The score is the undiscounted objective: a float for the rate objectives,
-    a (served, sum rate) tuple for the count objective. Ties resolve to the
-    first optimum in lexicographic enumeration order. Refuses to run when the
-    space exceeds EXHAUSTIVE_CAP.
+    The score is the undiscounted objective: sum rate, served-rate sum, or
+    served count. Ties resolve to the first optimum in lexicographic
+    enumeration order. Refuses to run when the space exceeds EXHAUSTIVE_CAP.
     """
     cfg = ev.cfg
     size = search_space_size(cfg)
@@ -283,8 +269,9 @@ def exhaustive_search(ev: SelectionEvaluator):
     return _best_of_chunks(ev, chunks())
 
 
-def random_search(ev: SelectionEvaluator, budget: int, rng: np.random.Generator):
-    """Score `budget` uniform selections and return (best, score).
+def random_search(ev: SelectionEvaluator, budget: int,
+                  rng: np.random.Generator) -> tuple[np.ndarray, float]:
+    """Score `budget` uniform selections and return (best row, raw score).
 
     The matched-budget baseline for the genetic search is budget = L * N_it.
     Ties resolve to the earliest draw.

@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from beamsel.codebook import Codebook
-from beamsel.core import BeamSelection, ComplexMatrix, DimensionError, PaParams
+from beamsel.core import ComplexMatrix, DimensionError, PaParams
 from beamsel.metrics import (
     ObjectiveKind,
     SaturationError,
@@ -39,10 +39,20 @@ def identity(n: int) -> ComplexMatrix:
     return ComplexMatrix(np.eye(n, dtype=np.complex128))
 
 
-def materialize(cb: Codebook, sel: BeamSelection) -> ComplexMatrix:
-    """Assemble the M x N beamforming matrix whose column i is codebook column sel[i]."""
-    sel.check_range(cb.n_vec)
-    return ComplexMatrix(cb.w.data[:, sel.as_array()])
+def materialize(cb: Codebook, sel) -> ComplexMatrix:
+    """Assemble the M x N beamforming matrix whose column i is codebook column sel[i].
+
+    sel is a row of 0-based column indices. It must be non-empty, hold
+    distinct columns (one beam per user) and stay inside the codebook.
+    """
+    sel = np.asarray(sel, dtype=np.int64)
+    if sel.ndim != 1 or sel.size == 0:
+        raise ValueError(f"a selection is a non-empty row of column indices, got shape {sel.shape}")
+    if np.unique(sel).size != sel.size:
+        raise ValueError(f"selection has duplicate columns: {sel.tolist()}")
+    if sel.min() < 0 or sel.max() >= cb.n_vec:
+        raise ValueError(f"columns {sel.tolist()} outside the codebook's [0, {cb.n_vec})")
+    return ComplexMatrix(cb.w.data[:, sel])
 
 
 def channel_gain(h: ComplexMatrix, v: ComplexMatrix) -> np.ndarray:

@@ -96,13 +96,6 @@ def test_los_structure():
     assert abs(off[0]) > abs(diag[0])
 
 
-def test_los_verbatim_formula():
-    h = build_los(_cfg(M=32, N=8, N_vec=128, los_formula="verbatim")).data
-    c = math.sqrt((256 - 8 * 0.04) / 8)
-    assert h[0, 1] == pytest.approx(c * (1 + 1j), rel=1e-12)
-    assert np.sum(np.abs(h) ** 2) > 256  # this variant is not power-normalized
-
-
 def test_los_rejects_oversized_beta():
     with pytest.raises(ValueError):
         build_los(_cfg(beta=0.9))

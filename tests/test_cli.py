@@ -3,10 +3,9 @@ import time
 import pytest
 
 from beamsel.cli import (
-    CliInvocation,
     _load_experiment,
-    _resolve_workers,
     apply_cli_overrides,
+    build_parser,
     main,
     parse_config,
 )
@@ -127,22 +126,17 @@ def test_cli_overrides(tmp_path):
 
 def test_seed_flag_wins_over_file_and_set(tmp_path):
     p = _write(tmp_path, TINY_CONFIG)
-    inv = CliInvocation(command="run", config_path=str(p),
-                        overrides=("seed=99",), seed=123)
-    ec = _load_experiment(inv)
+    args = build_parser().parse_args(["run", "--config", str(p), "--set", "seed=99", "--seed", "123"])
+    ec = _load_experiment(args)
     assert ec.base.seed == 123
 
 
-def test_resolve_workers(monkeypatch):
-    monkeypatch.delenv("BEAMSEL_WORKERS", raising=False)
-    assert _resolve_workers(None) == 1
-    assert _resolve_workers(4) == 4
-    monkeypatch.setenv("BEAMSEL_WORKERS", "3")
-    assert _resolve_workers(None) == 3
-    assert _resolve_workers(2) == 2  # explicit flag beats the environment
-    monkeypatch.setenv("BEAMSEL_WORKERS", "many")
-    with pytest.raises(ConfigError):
-        _resolve_workers(None)
+def test_workers_below_one_exits_one(tmp_path, capsys):
+    p = _write(tmp_path, TINY_CONFIG)
+    assert build_parser().parse_args(["run", "--config", str(p)]).workers == 1
+    assert main(["run", "--config", str(p), "--out", str(tmp_path / "out"), "--workers", "0"]) == 1
+    assert "error: workers must be at least 1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_main_requires_subcommand():

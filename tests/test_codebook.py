@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from beamsel.codebook import Codebook, build_dft_codebook
-from beamsel.core import BeamSelection
 from scalar_oracle import materialize
 
 
@@ -64,18 +63,31 @@ def test_shape_properties():
 
 def test_materialize_picks_columns_in_selection_order():
     cb = build_dft_codebook(4, 8)
-    fwd = materialize(cb, BeamSelection((1, 3))).data
-    rev = materialize(cb, BeamSelection((3, 1))).data
+    fwd = materialize(cb, [0, 2]).data
+    rev = materialize(cb, [2, 0]).data
     np.testing.assert_array_equal(fwd[:, 0], cb.w.data[:, 0])
     np.testing.assert_array_equal(fwd[:, 1], cb.w.data[:, 2])
     np.testing.assert_array_equal(rev[:, 0], fwd[:, 1])
     np.testing.assert_array_equal(rev[:, 1], fwd[:, 0])
+    three = materialize(cb, np.array([2, 0, 6])).data
+    np.testing.assert_array_equal(three, cb.w.data[:, [2, 0, 6]])
+
+
+def test_materialize_rejects_empty_and_duplicate_rows():
+    cb = build_dft_codebook(4, 8)
+    with pytest.raises(ValueError):
+        materialize(cb, [])
+    with pytest.raises(ValueError):
+        materialize(cb, [2, 2])
 
 
 def test_materialize_range_checked():
     cb = build_dft_codebook(4, 8)
+    assert materialize(cb, [0, 7]).shape == (4, 2)  # first and last columns
     with pytest.raises(ValueError):
-        materialize(cb, BeamSelection((1, 9)))
+        materialize(cb, [0, 8])
+    with pytest.raises(ValueError):
+        materialize(cb, [-1, 3])
 
 
 def test_codebook_matrix_is_frozen():
@@ -83,3 +95,11 @@ def test_codebook_matrix_is_frozen():
     with pytest.raises(ValueError):
         cb.w.data[0, 0] = 0.0
     assert isinstance(cb, Codebook)
+
+
+def test_codebook_is_cached_per_shape():
+    a = build_dft_codebook(4, 8)
+    assert build_dft_codebook(4, 8) is a
+    assert build_dft_codebook(4, 16) is not a
+    with pytest.raises(ValueError):
+        a.w.data[0, 0] = 0.0

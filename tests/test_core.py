@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from beamsel.core import (
-    BeamSelection,
     ComplexMatrix,
     DimensionError,
     IDEAL_PA,
@@ -106,30 +105,6 @@ def test_complex_matrix_does_not_alias_input():
 def test_db_conversions():
     assert db_to_linear(10.0) == pytest.approx(10.0)
     assert db_to_linear(0.0) == 1.0
-
-
-def test_beam_selection_valid():
-    sel = BeamSelection((3, 1, 7))
-    assert len(sel) == 3
-    assert sel.indices == (3, 1, 7)
-    np.testing.assert_array_equal(sel.as_array(), [2, 0, 6])
-    assert BeamSelection.from_array([2, 0, 6]) == sel
-
-
-def test_beam_selection_rejects_bad_indices():
-    with pytest.raises(ValueError):
-        BeamSelection(())
-    with pytest.raises(ValueError):
-        BeamSelection((0, 1))
-    with pytest.raises(ValueError):
-        BeamSelection((2, 2))
-
-
-def test_beam_selection_range_check():
-    sel = BeamSelection((1, 8))
-    sel.check_range(8)
-    with pytest.raises(ValueError):
-        sel.check_range(7)
 
 
 def test_validate_config_accepts_recipe_parameter_sets():

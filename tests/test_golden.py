@@ -109,13 +109,17 @@ GA_GOLDEN = {
 
 
 def ga_digest(shape: str) -> str:
-    """SHA-256 of the queens, raw scores and weighted bases of three ga_run calls."""
+    """SHA-256 of the queens, raw scores and weighted bases of three ga_run calls.
+
+    The queens are hashed 1-based (queens + 1), the convention they were
+    stored in when GA_GOLDEN was recorded, so the digests stay comparable.
+    """
     cfg = SystemConfig(**GA_SHAPES[shape], N_it=30, L=10, S=5, P_dB=10.0, seed=2024)
     digest = hashlib.sha256()
     for r in range(3):
         traj = ga_run(SelectionEvaluator(cfg, realize_channel(cfg, r)),
                       stream_rng(cfg.seed, r, STREAM_SEARCH))
-        for arr in (traj.queens, traj.raw_scores, traj.weighted_bases):
+        for arr in (traj.queens + 1, traj.raw_scores, traj.weighted_bases):
             digest.update(arr.tobytes())
     return digest.hexdigest()
 

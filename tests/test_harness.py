@@ -26,9 +26,8 @@ from beamsel.search import STREAM_LAYOUT, GaTrajectory, SelectionEvaluator
 
 def _traj(raw, alpha=0.0, n=2):
     raw = np.asarray(raw, dtype=np.float64)
-    queens = np.tile(np.arange(1, n + 1), (raw.size, 1))
-    return GaTrajectory(queens=queens, raw_scores=raw, weighted_bases=raw.copy(),
-                        alpha=alpha, L=10)
+    queens = np.tile(np.arange(n), (raw.size, 1))
+    return GaTrajectory(queens=queens, raw_scores=raw, weighted_bases=raw.copy(), alpha=alpha)
 
 
 def _base(**kw):
@@ -73,7 +72,6 @@ def test_coerce_value_types():
     assert coerce_value("M", "32") == 32
     assert coerce_value("alpha", "1e-3") == 0.001
     assert coerce_value("pa_rho_max_dB", "inf") == math.inf
-    assert coerce_value("los_formula", "verbatim") == "verbatim"
     with pytest.raises(ConfigError):
         coerce_value("M", "32.5")
     with pytest.raises(ConfigError):
@@ -87,7 +85,6 @@ def test_apply_override_routing():
     assert apply_override(cfg, "M", "16").M == 16
     assert apply_override(cfg, "k", 3).k == 3.0
     assert apply_override(cfg, "pa_epsilon", "0.5").pa.epsilon == 0.5
-    assert apply_override(cfg, "los_formula", "verbatim").los_formula == "verbatim"
     with pytest.raises(ConfigError):
         apply_override(cfg, "N_it", 12.5)
     with pytest.raises(ConfigError):
@@ -253,7 +250,6 @@ def tiny_experiments(draw):
         theta_dB=draw(st.floats(-20.0, 20.0)),
         pa=draw(st.sampled_from(AMPLIFIERS)),
         realizations=1, seed=draw(st.integers(0, 2**16)),
-        los_formula=draw(st.sampled_from(["normalized", "verbatim"])),
     )
     broken = draw(st.sampled_from([{}] * 8 + [
         {"N": m + 1}, {"N_vec": m - 1}, {"k": -1.0}, {"beta": 0.75}, {"L": 1}, {"S": -1},

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from beamsel.codebook import build_dft_codebook
-from beamsel.core import BeamSelection, ComplexMatrix, IDEAL_PA, PaParams, db_to_linear
+from beamsel.core import ComplexMatrix, IDEAL_PA, PaParams, db_to_linear
 from beamsel.metrics import (
     ObjectiveKind,
     SaturationError,
@@ -71,7 +71,7 @@ def test_channel_gain_with_codebook_columns():
     # Unit-modulus beams against an all-ones channel: the aligned beam (all
     # ones) collects |M|^2, the orthogonal one collects 0.
     cb = build_dft_codebook(4, 4)
-    v = materialize(cb, BeamSelection((1, 2)))
+    v = materialize(cb, [0, 1])
     h = ComplexMatrix(np.ones((1, 4)))
     g = channel_gain(h, v)
     assert g[0, 0] == pytest.approx(16.0, rel=1e-12)

@@ -5,7 +5,7 @@ import pytest
 
 from beamsel.channel import realize_channel, stream_rng, STREAM_SEARCH
 from beamsel.codebook import build_dft_codebook
-from beamsel.core import BeamSelection, ComplexMatrix, PaParams, SystemConfig, db_to_linear
+from beamsel.core import ComplexMatrix, PaParams, SystemConfig, db_to_linear
 from beamsel.metrics import ObjectiveKind, pa_output_power, rates
 from beamsel.search import (
     SearchSpaceError,
@@ -39,9 +39,7 @@ def reference_scores(cfg, h, sels_0based):
     p = pa_output_power(cfg.P_linear, cfg.pa)
     out_rates = []
     for row in np.asarray(sels_0based):
-        sel = BeamSelection.from_array(row)
-        v = materialize(cb, sel)
-        g = channel_gain(h, v)
+        g = channel_gain(h, materialize(cb, row))
         out_rates.append(rates(sinr(g, p, cfg.M)))
     return np.array(out_rates)
 
@@ -299,19 +297,14 @@ def test_ga_trajectory_independent_of_alpha():
 def test_ga_trajectory_accounting():
     cfg = _cfg(M=8, N=2, N_vec=16, N_it=20, L=10)
     h = _channel(cfg)
-    traj = ga_run(SelectionEvaluator(cfg, h), stream_rng(1, 0, STREAM_SEARCH))
-    assert traj.evaluations_used(1) == 10
-    assert traj.evaluations_used(20) == 200
-    with pytest.raises(ValueError):
-        traj.evaluations_used(0)
-    with pytest.raises(ValueError):
-        traj.evaluations_used(21)
-    # queens are reported 1-based
-    assert traj.queens.min() >= 1
-    assert traj.queens.max() <= 16
-    sel = traj.queen(20)
     ev = SelectionEvaluator(cfg, h)
-    assert float(ev.evaluate(sel.as_array()).raw[0]) == pytest.approx(traj.final_raw, rel=1e-14)
+    traj = ga_run(ev, stream_rng(1, 0, STREAM_SEARCH))
+    assert traj.queens.shape == (20, 2) and traj.queens.dtype == np.int64
+    # every queen is a valid 0-based selection: distinct columns in [0, N_vec)
+    assert all(len(set(q.tolist())) == 2 for q in traj.queens)
+    assert traj.queens.min() >= 0
+    assert traj.queens.max() < 16
+    assert float(ev.evaluate(traj.queens[-1]).raw[0]) == pytest.approx(traj.final_raw, rel=1e-14)
 
 
 def test_ga_weighted_scores_match_raw_for_zero_alpha():
@@ -339,7 +332,7 @@ def test_exhaustive_matches_explicit_enumeration():
             best_sel = perm
     sel, score = exhaustive_search(SelectionEvaluator(cfg, h))
     assert score == pytest.approx(best_score, rel=1e-14)
-    assert sel.as_array().tolist() == list(best_sel)
+    assert sel.tolist() == list(best_sel)
 
 
 def test_exhaustive_tie_breaks_to_first_enumerated():
@@ -347,7 +340,7 @@ def test_exhaustive_tie_breaks_to_first_enumerated():
     flat = ComplexMatrix(np.zeros((2, 4)))
     sel, score = exhaustive_search(SelectionEvaluator(cfg, flat))
     assert score == 0.0
-    assert sel.indices == (1, 2)
+    assert sel.tolist() == [0, 1]
 
 
 def test_exhaustive_refuses_oversized_space():
@@ -357,16 +350,20 @@ def test_exhaustive_refuses_oversized_space():
         exhaustive_search(SelectionEvaluator(cfg, h))
 
 
-def test_exhaustive_count_objective_returns_tuple():
-    cfg = _cfg(M=4, N=2, N_vec=8, P_dB=0.0, theta_dB=0.0)
+def test_exhaustive_count_objective_returns_served_count():
+    # At this power and threshold the 56 rows serve 0, 1 or 2 users, and 9 tie at 2.
+    cfg = _cfg(M=4, N=2, N_vec=8, P_dB=10.0, theta_dB=0.0)
     ev = SelectionEvaluator(cfg, _channel(cfg), ObjectiveKind.OUTAGE_COUNT)
     sel, score = exhaustive_search(ev)
-    assert isinstance(score, tuple)
-    served, total = score
-    assert 0 <= served <= 2
-    batch = ev.evaluate(sel.as_array())
-    assert int(batch.served[0]) == served
-    assert float(batch.total_sum[0]) == pytest.approx(total, rel=1e-14)
+    assert isinstance(score, float)
+    batch = ev.evaluate(sel)
+    assert score == int(batch.served[0])
+    # The served count ranks first, then the sum rate breaks ties: no row
+    # serves more users, and none with the same count has a higher sum rate.
+    every = ev.evaluate(np.array(list(itertools.permutations(range(8), 2))))
+    assert score == every.served.max()
+    tied = every.served == every.served.max()
+    assert every.total_sum[tied].max() == pytest.approx(float(batch.total_sum[0]), rel=1e-14)
 
 
 def test_random_search_budget_one_and_determinism():
@@ -374,7 +371,7 @@ def test_random_search_budget_one_and_determinism():
     ev = SelectionEvaluator(cfg, _channel(cfg))
     a_sel, a_score = random_search(ev, 1, np.random.default_rng(3))
     b_sel, b_score = random_search(ev, 1, np.random.default_rng(3))
-    assert a_sel == b_sel and a_score == b_score
+    assert a_sel.tolist() == b_sel.tolist() and a_score == b_score
     with pytest.raises(ValueError):
         random_search(ev, 0, np.random.default_rng(3))
 
@@ -426,6 +423,5 @@ def test_count_objective_serves_at_least_as_many_users():
         t_count = ga_run(ev, stream_rng(cfg.seed, r, STREAM_SEARCH))
         t_thr = ga_run(SelectionEvaluator(cfg, h), stream_rng(cfg.seed, r, STREAM_SEARCH))
         served_count.append(t_count.raw_scores[-1])
-        final = t_thr.queen(t_thr.n_it).as_array()
-        served_thr.append(int(ev.evaluate(final).served[0]))
+        served_thr.append(int(ev.evaluate(t_thr.queens[-1]).served[0]))
     assert np.mean(served_count) >= np.mean(served_thr)
