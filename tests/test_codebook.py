@@ -69,7 +69,12 @@ def test_materialize_picks_columns_in_selection_order():
     np.testing.assert_array_equal(fwd[:, 1], cb.w.data[:, 2])
     np.testing.assert_array_equal(rev[:, 0], fwd[:, 1])
     np.testing.assert_array_equal(rev[:, 1], fwd[:, 0])
+
+
+def test_materialize_three_beam_row_keeps_order():
+    cb = build_dft_codebook(4, 8)
     three = materialize(cb, np.array([2, 0, 6])).data
+    assert three.shape == (4, 3)
     np.testing.assert_array_equal(three, cb.w.data[:, [2, 0, 6]])
 
 
@@ -83,11 +88,17 @@ def test_materialize_rejects_empty_and_duplicate_rows():
 
 def test_materialize_range_checked():
     cb = build_dft_codebook(4, 8)
-    assert materialize(cb, [0, 7]).shape == (4, 2)  # first and last columns
     with pytest.raises(ValueError):
         materialize(cb, [0, 8])
     with pytest.raises(ValueError):
         materialize(cb, [-1, 3])
+
+
+def test_materialize_accepts_last_column_rejects_one_past():
+    cb = build_dft_codebook(4, 8)
+    assert materialize(cb, [0, 7]).shape == (4, 2)  # first and last columns
+    with pytest.raises(ValueError):
+        materialize(cb, [0, 8])
 
 
 def test_codebook_matrix_is_frozen():
