@@ -91,6 +91,22 @@ BASELINE_GOLDEN = {
     "summary.csv": "49c8cff6d256a392c5215a23701a376fe3f23f59e37bc12b6c6ae8a6c9216bc6",
 }
 
+# BASELINE_OVERRIDES runs the throughput objective only. This case pins the
+# count objective (served count first, then sum rate, then the earliest
+# member): the GA's queens follow its ranking every generation, and the
+# baselines report the best served count over all of their chunks.
+# served_users.cfg is shrunk until its whole theta_dB sweep enumerates cheaply.
+COUNT_BASELINE_OVERRIDES = ("--set", "M=8", "--set", "N=4", "--set", "N_vec=16",
+                            "--set", "N_it=50", "--set", "baselines=random,exhaustive")
+COUNT_BASELINE_GOLDEN = {
+    "baselines.csv": "2a013fb7c26ff3cbcd116954808c0776b88f8e9d6075a47b0b0fe0a35903411b",
+    "cdf.csv": "345e902448fcd0a41cdc6e79197a2cf09134072c3103cc7ba4c8ccfa53100376",
+    "convergence.csv": "81b5beb817ae937af65db40f32305dd5941e2e462c53c1c0900f9cda94bc1bdc",
+    "curve.csv": "4aa5ee9c0589b448475db1235e02a931e5c9f0dd8458f536a0e34080db5c8427",
+    "curve_example.csv": "64e140ad071962739ce1c938d5a4e76715b426186a8f15dfcfa569cf975785be",
+    "summary.csv": "79045ae17a642d6038fadaef0e5cad2902a1864ea98909a22c1e6cbcdf534cee",
+}
+
 
 # Every recipe replaces one slot per mutation from a codebook with spare
 # columns. These ga_run cases pin the other mutation shapes: several slots
@@ -152,6 +168,11 @@ def test_baseline_csvs_match_golden_digests(tmp_path):
     assert got == BASELINE_GOLDEN
 
 
+def test_count_baseline_csvs_match_golden_digests(tmp_path):
+    got = recipe_digests(CONFIG_DIR / "served_users.cfg", tmp_path, COUNT_BASELINE_OVERRIDES)
+    assert got == COUNT_BASELINE_GOLDEN
+
+
 @pytest.mark.parametrize("shape", sorted(GA_GOLDEN))
 def test_ga_run_matches_golden_digest(shape):
     assert ga_digest(shape) == GA_GOLDEN[shape]
@@ -167,7 +188,10 @@ if __name__ == "__main__":
                   for cfg in sorted(CONFIG_DIR.glob("*.cfg"))}
         baseline = recipe_digests(CONFIG_DIR / "power_sweep.cfg", Path(tmp) / "baselines",
                                   BASELINE_OVERRIDES)
+        count_baseline = recipe_digests(CONFIG_DIR / "served_users.cfg",
+                                        Path(tmp) / "count_baselines", COUNT_BASELINE_OVERRIDES)
     print("GOLDEN =", json.dumps(golden, indent=4))
     print("BASELINE_GOLDEN =", json.dumps(baseline, indent=4))
+    print("COUNT_BASELINE_GOLDEN =", json.dumps(count_baseline, indent=4))
     print("GA_GOLDEN =", json.dumps({shape: ga_digest(shape) for shape in sorted(GA_SHAPES)},
                                     indent=4))
