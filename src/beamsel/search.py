@@ -8,6 +8,7 @@ baselines, and the reported statistics share one code path.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -54,17 +55,19 @@ class EvalBatch:
 
     def best_index(self) -> int:
         """Index of the best member; ties resolve to the lowest index."""
-        if self.kind is ObjectiveKind.OUTAGE_COUNT:
-            top = self.served.max()
-            among = np.flatnonzero(self.served == top)
-            return int(among[np.argmax(self.total_sum[among])])
-        return int(np.argmax(self.raw))
+        return rank_best(self.kind, self.raw, self.total_sum)
 
-    def comparable(self, i: int):
-        """Orderable score of member i: float, or (served, sum rate) for the count objective."""
-        if self.kind is ObjectiveKind.OUTAGE_COUNT:
-            return int(self.served[i]), float(self.total_sum[i])
-        return float(self.raw[i])
+
+def rank_best(kind: ObjectiveKind, raw: np.ndarray, total_sum: np.ndarray) -> int:
+    """Index of the best of B scored members; ties resolve to the lowest index.
+
+    The count objective's raw score is the served count, and among the
+    members that serve the most users the highest sum rate wins. The other
+    objectives rank by raw score alone.
+    """
+    if kind is ObjectiveKind.OUTAGE_COUNT:
+        return int(np.argmax(np.where(raw == raw.max(), total_sum, -np.inf)))
+    return int(np.argmax(raw))
 
 
 class SelectionEvaluator:
@@ -232,24 +235,35 @@ def search_space_size(cfg: SystemConfig) -> int:
 def _best_of_chunks(ev: SelectionEvaluator, chunks) -> tuple[np.ndarray, float]:
     """Score each (B, N) chunk of selections and return (best row, raw score).
 
-    Members are ranked by EvalBatch.comparable, so the count objective breaks
-    served-count ties by sum rate; the returned score is the winner's raw
-    score. Ties resolve to the earliest member: within a chunk through
-    best_index, across chunks because only a strictly better score replaces
-    the best.
+    rank_best picks each chunk's winner and then the best of the winners, so
+    ties resolve to the earliest member whatever the chunk size.
     """
-    best_cmp = best_sel = best_raw = None
+    rows, raw, total_sum = [], [], []
     for arr in chunks:
         batch = ev.evaluate(arr)
         i = batch.best_index()
-        cmp = batch.comparable(i)
-        if best_cmp is None or cmp > best_cmp:
-            best_cmp, best_sel, best_raw = cmp, arr[i], float(batch.raw[i])
-    return best_sel, best_raw
+        rows.append(arr[i])
+        raw.append(batch.raw[i])
+        total_sum.append(batch.total_sum[i])
+    w = rank_best(ev.kind, np.array(raw), np.array(total_sum))
+    return rows[w].copy(), float(raw[w])
+
+
+@functools.lru_cache(maxsize=1)
+def _ordered_selections(n_vec: int, n: int) -> np.ndarray:
+    """Read-only int64 table of every ordered selection, in itertools.permutations order.
+
+    Only the latest shape is cached, so at EXHAUSTIVE_CAP the table holds at
+    most 32.3 MiB (N_vec=10, N=7).
+    """
+    perms = itertools.chain.from_iterable(itertools.permutations(range(n_vec), n))
+    table = np.fromiter(perms, dtype=np.int64, count=math.perm(n_vec, n) * n).reshape(-1, n)
+    table.flags.writeable = False
+    return table
 
 
 def exhaustive_search(ev: SelectionEvaluator) -> tuple[np.ndarray, float]:
-    """Enumerate every ordered selection and return (best row, raw score).
+    """Score every ordered selection, from the per-shape table, and return (best row, raw score).
 
     The score is the undiscounted objective: sum rate, served-rate sum, or
     served count. Ties resolve to the first optimum in lexicographic
@@ -260,13 +274,8 @@ def exhaustive_search(ev: SelectionEvaluator) -> tuple[np.ndarray, float]:
     if size > EXHAUSTIVE_CAP:
         raise SearchSpaceError(
             f"{size} ordered selections exceed the exhaustive cap of {EXHAUSTIVE_CAP}; shrink N_vec/N")
-    perms = itertools.permutations(range(cfg.N_vec), cfg.N)
-
-    def chunks():
-        while chunk := list(itertools.islice(perms, CHUNK)):
-            yield np.asarray(chunk, dtype=np.int64)
-
-    return _best_of_chunks(ev, chunks())
+    table = _ordered_selections(cfg.N_vec, cfg.N)
+    return _best_of_chunks(ev, (table[s:s + CHUNK] for s in range(0, size, CHUNK)))
 
 
 def random_search(ev: SelectionEvaluator, budget: int,

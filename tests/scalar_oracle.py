@@ -123,6 +123,14 @@ def evaluate_objective(kind: ObjectiveKind, r: np.ndarray, k_it: int, alpha: flo
     return served, float(r.sum())
 
 
+def lexicographic_best(served, total_sum) -> int:
+    """Index of the count objective's best member, one comparison at a time.
+
+    Most served users first, then the highest sum rate, then the lowest index.
+    """
+    return max(range(len(served)), key=lambda i: (served[i], total_sum[i], -i))
+
+
 def pa_consumed_power(rho_out: float, pa: PaParams) -> float:
     """Power the amplifier draws to radiate rho_out (linear scale). Inverse of pa_output_power."""
     if not rho_out >= 0:

@@ -2,14 +2,18 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from beamsel.channel import realize_channel, stream_rng, STREAM_SEARCH
 from beamsel.codebook import build_dft_codebook
 from beamsel.core import ComplexMatrix, PaParams, SystemConfig, db_to_linear
 from beamsel.metrics import ObjectiveKind, pa_output_power, rates
+import beamsel.search as search
 from beamsel.search import (
     SearchSpaceError,
     _draw_selection,
+    _ordered_selections,
     SelectionEvaluator,
     exhaustive_search,
     ga_run,
@@ -17,9 +21,10 @@ from beamsel.search import (
     mutate,
     n_replaced,
     random_search,
+    rank_best,
     search_space_size,
 )
-from scalar_oracle import channel_gain, materialize, sinr
+from scalar_oracle import channel_gain, lexicographic_best, materialize, sinr
 
 def _cfg(**kw):
     base = dict(M=8, N=2, N_vec=16, N_it=40, seed=1)
@@ -265,6 +270,23 @@ def test_best_index_breaks_ties_toward_lowest():
     assert count_ev.evaluate(same).best_index() == 0
 
 
+small_ints = st.lists(st.integers(0, 3), min_size=1, max_size=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_rank_best_matches_lexicographic_oracle(data):
+    # Values from 0..3 make ties in served count, in sum rate and in both common.
+    served = data.draw(small_ints)
+    total = data.draw(st.lists(st.integers(0, 3), min_size=len(served), max_size=len(served)))
+    raw = np.array(served, dtype=np.float64)
+    total_sum = np.array(total, dtype=np.float64)
+    assert rank_best(ObjectiveKind.OUTAGE_COUNT, raw, total_sum) == lexicographic_best(served, total)
+    first_max = served.index(max(served))
+    assert rank_best(ObjectiveKind.THROUGHPUT, raw, total_sum) == first_max
+    assert rank_best(ObjectiveKind.OUTAGE_THROUGHPUT, raw, total_sum) == first_max
+
+
 def test_ga_scores_never_decrease():
     cfg = _cfg(M=16, N=4, N_vec=32, N_it=60)
     h = _channel(cfg)
@@ -341,6 +363,58 @@ def test_exhaustive_tie_breaks_to_first_enumerated():
     sel, score = exhaustive_search(SelectionEvaluator(cfg, flat))
     assert score == 0.0
     assert sel.tolist() == [0, 1]
+
+
+@pytest.mark.parametrize("n_vec,n", [(4, 1), (4, 4), (6, 3), (16, 4)])
+def test_ordered_selections_table_is_the_permutation_order(n_vec, n):
+    table = _ordered_selections(n_vec, n)
+    assert table.tolist() == [list(p) for p in itertools.permutations(range(n_vec), n)]
+    assert table.dtype == np.int64
+    assert not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[0, 0] = 1
+    assert _ordered_selections(n_vec, n) is table
+
+
+def test_ordered_selections_caches_one_shape():
+    first = _ordered_selections(6, 3)
+    _ordered_selections(5, 2)
+    assert _ordered_selections.cache_info().currsize == 1
+    again = _ordered_selections(6, 3)
+    assert again is not first
+    np.testing.assert_array_equal(again, first)
+
+
+def _best_row(batch) -> int:
+    if batch.kind is ObjectiveKind.OUTAGE_COUNT:
+        return lexicographic_best(batch.served, batch.total_sum)
+    return int(np.argmax(batch.raw))
+
+
+@pytest.mark.parametrize("kind", list(ObjectiveKind))
+@pytest.mark.parametrize("flat", [False, True])
+def test_chunk_size_never_changes_the_winner(monkeypatch, kind, flat):
+    # Faded: 9 of the 56 rows tie at 2 served users, spread over several
+    # chunks of 7, and the sum rate decides among them. Flat: every row
+    # scores 0 on every objective, so only the enumeration order decides.
+    cfg = _cfg(M=4, N=2, N_vec=8, P_dB=10.0, theta_dB=0.0)
+    h = ComplexMatrix(np.zeros((2, 4))) if flat else _channel(cfg)
+    ev = SelectionEvaluator(cfg, h, kind)
+    table = _ordered_selections(8, 2)
+    every = ev.evaluate(table)
+    want = _best_row(every)
+    if not flat and kind is ObjectiveKind.OUTAGE_COUNT:
+        tied = np.flatnonzero(every.served == every.served.max())
+        assert len(set(tied // 7)) > 1 and want != tied[0]  # decided across chunks
+    drawn = _draw_selection(40, 2, 8, np.random.default_rng(5))
+    drawn_batch = ev.evaluate(drawn)
+    r_want = _best_row(drawn_batch)
+    for chunk in (1, 7, 4096):
+        monkeypatch.setattr(search, "CHUNK", chunk)
+        sel, score = exhaustive_search(ev)
+        assert (sel.tolist(), score) == (table[want].tolist(), float(every.raw[want]))
+        sel, score = random_search(ev, 40, np.random.default_rng(5))
+        assert (sel.tolist(), score) == (drawn[r_want].tolist(), float(drawn_batch.raw[r_want]))
 
 
 def test_exhaustive_refuses_oversized_space():
