@@ -270,15 +270,11 @@ def test_best_index_breaks_ties_toward_lowest():
     assert count_ev.evaluate(same).best_index() == 0
 
 
-small_ints = st.lists(st.integers(0, 3), min_size=1, max_size=12)
-
-
 @settings(max_examples=300, deadline=None)
-@given(st.data())
-def test_rank_best_matches_lexicographic_oracle(data):
+@given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=1, max_size=12))
+def test_rank_best_matches_lexicographic_oracle(members):
     # Values from 0..3 make ties in served count, in sum rate and in both common.
-    served = data.draw(small_ints)
-    total = data.draw(st.lists(st.integers(0, 3), min_size=len(served), max_size=len(served)))
+    served, total = (list(col) for col in zip(*members))
     raw = np.array(served, dtype=np.float64)
     total_sum = np.array(total, dtype=np.float64)
     assert rank_best(ObjectiveKind.OUTAGE_COUNT, raw, total_sum) == lexicographic_best(served, total)
