@@ -27,9 +27,14 @@ class SearchSpaceError(ValueError):
 # Largest ordered search space exhaustive_search enumerates.
 EXHAUSTIVE_CAP = 1_000_000
 CHUNK = 4096  # selections scored per evaluate call by the baselines
+KEY_CHUNK_BYTES = 256 * 1024  # most bytes of keys ga_run draws and ranks at once
 # Version of how the searches consume their random streams. Bump it with any
 # change that makes a seed draw different selections; provenance records it.
-# 2: one batched draw per call of _draw_selection and mutate.
+# 2: every member is ranked from N_vec uniform keys, taken from the stream in
+#    member order. ga_run takes the initial population's, then for each later
+#    generation its S mutants' (none when N_vec == 1) and its L - S - 1 fresh
+#    members'; random_search takes its draws'. How many Generator calls
+#    deliver those keys does not matter; only their order does.
 STREAM_LAYOUT = 2
 
 
@@ -98,10 +103,11 @@ class SelectionEvaluator:
         sels = np.asarray(selections, dtype=np.int64)
         if sels.ndim == 1:
             sels = sels[None, :]
-        # gains[b, j, i] = power user i receives from member b's j-th beam.
-        gains = self._column_gains[sels]
-        signal = np.einsum("bii->bi", gains)
-        interference = gains.sum(axis=1) - signal
+        # gains[j, b, i] = power user i receives from member b's j-th beam.
+        # Slot-major, so the sum over beams adds contiguous (B, N) planes.
+        gains = self._column_gains[sels.T]
+        signal = np.einsum("ibi->bi", gains)
+        interference = gains.sum(axis=0) - signal
         snr = sinr_from_components(signal, interference, self._p_over_m)
         user_rates = rates(snr)
         total_sum = user_rates.sum(axis=1)
@@ -133,36 +139,46 @@ def init_population(cfg: SystemConfig, rng: np.random.Generator) -> np.ndarray:
     return _draw_selection(cfg.L, cfg.N, cfg.N_vec, rng)
 
 
-def mutate(parent: np.ndarray, count: int, cfg: SystemConfig, rng: np.random.Generator) -> np.ndarray:
-    """A (count, N) block of mutants of one 0-based selection.
+def rank_mutation_keys(keys: np.ndarray, cfg: SystemConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Rank (..., N_vec) mutation keys into the (slots, picks) that mutate assembles.
 
-    Each child replaces k = ceil(mutation_fraction * N) distinct slots, drawn
-    uniformly. Their new columns are a uniform ordered draw of distinct
-    columns the parent does not use; when fewer than k are unused, the
-    remaining slots take the columns freed by the first ones, so every
-    replaced slot still changes. When the codebook has no spare columns
-    (N == N_vec) a child swaps two slots instead. The draws are one Generator
-    call per block, whatever the parent.
+    The first N keys of a row rank the parent's slots: the slots of the k
+    smallest, in key order, are the ones to replace, with
+    k = ceil(mutation_fraction * N), or 2 when N == N_vec. The other N_vec - N
+    keys rank the columns the parent does not use; picks holds the positions,
+    among those columns, of the min(k, N_vec - N) smallest. Neither depends on
+    the parent, so a whole block of generations is ranked at once. Zero-width
+    keys give empty slots, and mutate then returns copies.
+    """
+    n = cfg.N
+    k = 2 if cfg.N_vec == n else n_replaced(cfg.mutation_fraction, n)
+    slots = keys[..., :n].argsort(axis=-1)[..., :k]
+    picks = keys[..., n:].argsort(axis=-1)[..., :k]
+    return slots, picks
+
+
+def mutate(parent: np.ndarray, slots: np.ndarray, picks: np.ndarray, n_vec: int) -> np.ndarray:
+    """The (count, N) block of mutants of one 0-based selection from ranked keys.
+
+    Child c replaces the slots slots[c] (see rank_mutation_keys). Slot i takes
+    the picks[c, i]-th column, in column order, that the parent does not use;
+    when fewer columns are unused than slots are replaced, the remaining slots
+    take the columns freed by the first ones, so every replaced slot still
+    changes. When the codebook has no spare columns (N == n_vec) a child swaps
+    its two slots instead.
     """
     parent = np.asarray(parent, dtype=np.int64)
-    n = parent.size
-    children = np.repeat(parent[None, :], count, axis=0)
-    if cfg.N_vec == 1:
-        return children  # a single-column codebook has one selection
-    spare = cfg.N_vec - n
-    k = 2 if spare == 0 else n_replaced(cfg.mutation_fraction, n)
-    keys = rng.random((count, n + spare))
-    rows = np.arange(count)[:, None]
-    slots = keys[:, :n].argsort(axis=1)[:, :k]
-    old = children[rows, slots]
-    if spare == 0:
-        new = old[:, ::-1]  # the two slots trade columns
+    count, k = slots.shape
+    if n_vec == parent.size:
+        new = parent[slots[:, ::-1]]  # the two slots trade columns
     else:
-        unused = np.ones(cfg.N_vec, dtype=bool)
+        unused = np.ones(n_vec, dtype=bool)
         unused[parent] = False
-        fresh = np.flatnonzero(unused)[keys[:, n:].argsort(axis=1)[:, :min(k, spare)]]
-        new = np.concatenate([fresh, old[:, :k - fresh.shape[1]]], axis=1)
-    children[rows, slots] = new
+        new = np.flatnonzero(unused)[picks]
+        if new.shape[1] < k:
+            new = np.concatenate([new, parent[slots[:, :k - new.shape[1]]]], axis=1)
+    children = np.repeat(parent[None, :], count, axis=0)
+    children[np.arange(count)[:, None], slots] = new
     return children
 
 
@@ -204,13 +220,23 @@ def ga_run(ev: SelectionEvaluator, rng: np.random.Generator) -> GaTrajectory:
     Each generation scores all L members, crowns the best as Queen (ties go to
     the lowest population index), then builds the next generation from the
     Queen, S of her mutants, and fresh uniform selections. Elitism makes the
-    raw score non-decreasing across iterations.
+    raw score non-decreasing across iterations. The keys of as many
+    generations as fit in KEY_CHUNK_BYTES are drawn and ranked at once, which
+    changes no selection (see STREAM_LAYOUT).
     """
     cfg = ev.cfg
+    n, n_vec, s = cfg.N, cfg.N_vec, cfg.S
     pop = init_population(cfg, rng)
-    queens = np.empty((cfg.N_it, cfg.N), dtype=np.int64)
+    queens = np.empty((cfg.N_it, n), dtype=np.int64)
     raw = np.empty(cfg.N_it, dtype=np.float64)
     base = np.empty(cfg.N_it, dtype=np.float64)
+    # Each later generation takes a fixed run of keys: N_vec per mutant (none
+    # when N_vec == 1, whose one selection has no mutants to rank), then N_vec
+    # per fresh member. A block of generations is drawn and ranked at once.
+    width = n_vec if n_vec > 1 else 0
+    per_gen = s * width + (cfg.L - s - 1) * n_vec
+    span = max(1, KEY_CHUNK_BYTES // (8 * per_gen))
+    keys = np.empty((min(span, cfg.N_it - 1), per_gen))
     for it in range(cfg.N_it):
         batch = ev.evaluate(pop)
         b = batch.best_index()
@@ -219,11 +245,16 @@ def ga_run(ev: SelectionEvaluator, rng: np.random.Generator) -> GaTrajectory:
         base[it] = batch.weighted_base[b]
         if it + 1 == cfg.N_it:
             break
-        nxt = np.empty_like(pop)
-        nxt[0] = pop[b]
-        nxt[1:cfg.S + 1] = mutate(pop[b], cfg.S, cfg, rng)
-        nxt[cfg.S + 1:] = _draw_selection(cfg.L - cfg.S - 1, cfg.N, cfg.N_vec, rng)
-        pop = nxt
+        j = it % span
+        if j == 0:
+            block = rng.random(out=keys[:min(span, cfg.N_it - 1 - it)])
+            g = block.shape[0]
+            slots, picks = rank_mutation_keys(block[:, :s * width].reshape(g, s, width), cfg)
+            fresh = block[:, s * width:].reshape(g, -1, n_vec).argsort(axis=-1)[..., :n]
+        pop = np.empty_like(pop)
+        pop[0] = queens[it]
+        pop[1:s + 1] = mutate(queens[it], slots[j], picks[j], n_vec)
+        pop[s + 1:] = fresh[j]
     return GaTrajectory(queens=queens, raw_scores=raw, weighted_bases=base, alpha=cfg.alpha)
 
 

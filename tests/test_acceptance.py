@@ -27,7 +27,7 @@ from beamsel.cli import main as cli_main
 from beamsel.core import PaParams, SystemConfig
 from beamsel.harness import ExperimentConfig, convergence_iteration, run_experiment
 from beamsel.metrics import ObjectiveKind, pa_output_power
-from beamsel.search import SelectionEvaluator, exhaustive_search, ga_run, mutate
+from beamsel.search import SelectionEvaluator, exhaustive_search, ga_run, mutate, rank_mutation_keys
 from scalar_oracle import outage_throughput, pa_consumed_power, throughput
 
 SEED = 12345
@@ -231,7 +231,7 @@ def test_c10_invariant_suite():
         cfg = SystemConfig(M=m, N=n, N_vec=n_vec)
         parent = np.sort(rng.choice(n_vec, size=n, replace=False)).astype(np.int64)
         for _ in range(250):
-            children = mutate(parent, 100, cfg, rng)
+            children = mutate(parent, *rank_mutation_keys(rng.random((100, n_vec)), cfg), n_vec)
             ordered = np.sort(children, axis=1)
             if (np.any(ordered[:, 1:] == ordered[:, :-1])
                     or children.min() < 0 or children.max() >= n_vec):

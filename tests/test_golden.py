@@ -21,6 +21,7 @@ import pytest
 from beamsel.channel import STREAM_SEARCH, realize_channel, stream_rng
 from beamsel.cli import main as cli_main
 from beamsel.core import SystemConfig
+from beamsel import search
 from beamsel.search import SelectionEvaluator, ga_run
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -140,6 +141,14 @@ def ga_digest(shape: str) -> str:
     return digest.hexdigest()
 
 
+def _key_chunk_bytes(generations: int, n_vec: int, l: int = 10) -> int:
+    """The KEY_CHUNK_BYTES at which ga_run draws `generations` generations' keys at once.
+
+    With N_vec > 1 every later generation takes (L - 1) * N_vec keys of 8 bytes.
+    """
+    return generations * 8 * (l - 1) * n_vec
+
+
 def _command(cfg_path: Path) -> str:
     has_sweep = any(line.split("#")[0].strip().split("=")[0].strip() == "sweep"
                     for line in cfg_path.read_text().splitlines())
@@ -176,6 +185,19 @@ def test_count_baseline_csvs_match_golden_digests(tmp_path):
 @pytest.mark.parametrize("shape", sorted(GA_GOLDEN))
 def test_ga_run_matches_golden_digest(shape):
     assert ga_digest(shape) == GA_GOLDEN[shape]
+
+
+@pytest.mark.parametrize("generations", [1, 7])
+def test_digests_hold_across_key_chunk_boundaries(generations, monkeypatch, tmp_path):
+    # ga_run draws the keys of up to KEY_CHUNK_BYTES of generations at a time,
+    # and every run above fits in one such chunk. Chunks of 1 and 7
+    # generations cross many boundaries, and 7 leaves a partial last chunk.
+    for shape in sorted(GA_GOLDEN):
+        monkeypatch.setattr(search, "KEY_CHUNK_BYTES", _key_chunk_bytes(generations, GA_SHAPES[shape]["N_vec"]))
+        assert ga_digest(shape) == GA_GOLDEN[shape]
+    monkeypatch.setattr(search, "KEY_CHUNK_BYTES", _key_chunk_bytes(generations, 16))
+    got = recipe_digests(CONFIG_DIR / "served_users.cfg", tmp_path, COUNT_BASELINE_OVERRIDES)
+    assert got == COUNT_BASELINE_GOLDEN
 
 
 if __name__ == "__main__":

@@ -22,6 +22,7 @@ from beamsel.search import (
     n_replaced,
     random_search,
     rank_best,
+    rank_mutation_keys,
     search_space_size,
 )
 from scalar_oracle import channel_gain, lexicographic_best, materialize, sinr
@@ -98,6 +99,11 @@ def test_draw_selection_covers_every_ordered_pair_uniformly():
     assert _chi_square(counts) < 40.0
 
 
+def _mutants(parent, count, cfg, rng):
+    """count mutants of parent from count rows of N_vec keys, ranked as ga_run ranks them."""
+    return mutate(parent, *rank_mutation_keys(rng.random((count, cfg.N_vec)), cfg), cfg.N_vec)
+
+
 def _changed_slots(children, parent):
     return np.count_nonzero(children != parent[None, :], axis=1)
 
@@ -111,7 +117,7 @@ def _assert_valid(children, n_vec):
 def test_mutate_changes_exactly_one_slot_for_small_n():
     cfg = _cfg(M=8, N=8, N_vec=128)
     parent = np.arange(8, dtype=np.int64)
-    children = mutate(parent, 200, cfg, np.random.default_rng(3))
+    children = _mutants(parent, 200, cfg, np.random.default_rng(3))
     assert children.shape == (200, 8)
     assert np.all(_changed_slots(children, parent) == 1)
     assert not np.isin(children[children != parent[None, :]], parent).any()
@@ -121,7 +127,7 @@ def test_mutate_changes_exactly_one_slot_for_small_n():
 def test_mutate_changes_two_slots_for_n_twenty():
     cfg = _cfg(M=32, N=20, N_vec=64)
     parent = np.arange(20, dtype=np.int64)
-    children = mutate(parent, 100, cfg, np.random.default_rng(4))
+    children = _mutants(parent, 100, cfg, np.random.default_rng(4))
     assert np.all(_changed_slots(children, parent) == 2)
     _assert_valid(children, 64)
 
@@ -135,7 +141,7 @@ def test_mutate_replaces_n_replaced_slots(fraction, n, n_vec, want):
     assert n_replaced(fraction, n) == want
     cfg = _cfg(M=n, N=n, N_vec=n_vec, mutation_fraction=fraction)
     parent = np.random.default_rng(1).permutation(n_vec)[:n]
-    children = mutate(parent, 500, cfg, np.random.default_rng(2))
+    children = _mutants(parent, 500, cfg, np.random.default_rng(2))
     assert np.all(_changed_slots(children, parent) == want)
     _assert_valid(children, n_vec)
     # Replacements come from outside the parent as long as unused columns remain.
@@ -146,7 +152,7 @@ def test_mutate_replaces_n_replaced_slots(fraction, n, n_vec, want):
 def test_mutate_replacements_are_uniform_over_unused_columns():
     cfg = _cfg(M=4, N=4, N_vec=16)
     parent = np.array([9, 2, 14, 5], dtype=np.int64)
-    children = mutate(parent, 12_000, cfg, np.random.default_rng(6))
+    children = _mutants(parent, 12_000, cfg, np.random.default_rng(6))
     changed = children != parent[None, :]
     new_cols = children[changed]
     assert new_cols.size == 12_000
@@ -160,12 +166,14 @@ def test_mutate_replacements_are_uniform_over_unused_columns():
 
 
 def test_mutate_draws_a_fixed_amount_whatever_the_parent():
-    # No rejection loop: the stream advances by the same amount for any
-    # parent, so the slots drawn depend on the stream alone.
+    # No rejection loop: the keys are ranked without looking at the parent,
+    # so the stream advances by the same amount for any parent and the slots
+    # depend on the stream alone. test_ga_run_draws_a_fixed_number_of_keys
+    # checks the same property for a whole run.
     cfg = _cfg(M=8, N=4, N_vec=16, mutation_fraction=0.5)
     rngs = [np.random.default_rng(8), np.random.default_rng(8)]
-    a = mutate(np.array([0, 1, 2, 3]), 50, cfg, rngs[0])
-    b = mutate(np.array([12, 7, 15, 4]), 50, cfg, rngs[1])
+    a = _mutants(np.array([0, 1, 2, 3]), 50, cfg, rngs[0])
+    b = _mutants(np.array([12, 7, 15, 4]), 50, cfg, rngs[1])
     assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
     np.testing.assert_array_equal(a != np.array([0, 1, 2, 3]), b != np.array([12, 7, 15, 4]))
 
@@ -173,7 +181,7 @@ def test_mutate_draws_a_fixed_amount_whatever_the_parent():
 def test_mutate_swaps_when_codebook_has_no_spare_columns():
     cfg = _cfg(M=6, N=6, N_vec=6)
     parent = np.array([0, 1, 2, 3, 4, 5], dtype=np.int64)
-    children = mutate(parent, 50, cfg, np.random.default_rng(5))
+    children = _mutants(parent, 50, cfg, np.random.default_rng(5))
     for child in children:
         assert sorted(child.tolist()) == parent.tolist()
         assert np.count_nonzero(child != parent) == 2
@@ -183,7 +191,7 @@ def test_mutate_single_column_codebook_returns_copy():
     # N = N_vec = 1 has exactly one selection, so there is nothing to swap.
     cfg = _cfg(M=1, N=1, N_vec=1)
     parent = np.array([0], dtype=np.int64)
-    children = mutate(parent, 3, cfg, np.random.default_rng(0))
+    children = _mutants(parent, 3, cfg, np.random.default_rng(0))
     np.testing.assert_array_equal(children, np.zeros((3, 1), dtype=np.int64))
     assert not np.shares_memory(children, parent)
 
@@ -192,8 +200,8 @@ def test_mutate_deterministic_and_leaves_parent_alone():
     cfg = _cfg(M=8, N=4, N_vec=16)
     parent = np.array([3, 7, 11, 15], dtype=np.int64)
     snapshot = parent.copy()
-    a = mutate(parent, 5, cfg, np.random.default_rng(9))
-    b = mutate(parent, 5, cfg, np.random.default_rng(9))
+    a = _mutants(parent, 5, cfg, np.random.default_rng(9))
+    b = _mutants(parent, 5, cfg, np.random.default_rng(9))
     np.testing.assert_array_equal(a, b)
     np.testing.assert_array_equal(parent, snapshot)
 
@@ -208,7 +216,7 @@ def test_mutate_stays_valid_across_random_shapes():
         cfg = SystemConfig(M=max(m, n_vec // 4 + 1), N=n, N_vec=max(n_vec, max(m, n_vec // 4 + 1)),
                            mutation_fraction=frac)
         parent = np.sort(rng.choice(cfg.N_vec, size=n, replace=False)).astype(np.int64)
-        children = mutate(parent, 4, cfg, rng)
+        children = _mutants(parent, 4, cfg, rng)
         assert children.shape == (4, n)
         _assert_valid(children, cfg.N_vec)
 
@@ -330,6 +338,28 @@ def test_ga_weighted_scores_match_raw_for_zero_alpha():
     h = _channel(cfg)
     traj = ga_run(SelectionEvaluator(cfg, h), stream_rng(2, 0, STREAM_SEARCH))
     np.testing.assert_allclose(traj.weighted_scores(0.0), traj.raw_scores, rtol=1e-15)
+
+
+@pytest.mark.parametrize("shape", [
+    dict(M=8, N=4, N_vec=16),
+    dict(M=32, N=8, N_vec=128, N_it=60),  # three chunks of keys
+    dict(M=1, N=1, N_vec=1),              # mutants of the one selection take no keys
+    dict(M=8, N=3, N_vec=16, S=0),        # no mutants
+    dict(M=6, N=6, N_vec=6),              # N == N_vec: mutants swap two slots
+])
+def test_ga_run_draws_a_fixed_number_of_keys(shape):
+    # ga_run draws many generations' keys before it knows their queens, which
+    # is only sound because every generation takes the same number of keys,
+    # whatever the channel: L * N_vec for the first population, then N_vec
+    # per mutant (none when N_vec == 1) and per fresh member.
+    cfg = _cfg(**{"N_it": 40, **shape})
+    per_gen = cfg.L - 1 if cfg.N_vec > 1 else cfg.L - cfg.S - 1
+    expected = np.random.default_rng(17)
+    expected.random(cfg.L * cfg.N_vec + (cfg.N_it - 1) * per_gen * cfg.N_vec)
+    for r in (0, 1):
+        rng = np.random.default_rng(17)
+        ga_run(SelectionEvaluator(cfg, _channel(cfg, r)), rng)
+        assert rng.bit_generator.state == expected.bit_generator.state
 
 
 def test_search_space_size():
