@@ -141,12 +141,13 @@ def ga_digest(shape: str) -> str:
     return digest.hexdigest()
 
 
-def _key_chunk_bytes(generations: int, n_vec: int, l: int = 10) -> int:
+def _key_chunk_bytes(generations: int, n_vec: int) -> int:
     """The KEY_CHUNK_BYTES at which ga_run draws `generations` generations' keys at once.
 
-    With N_vec > 1 every later generation takes (L - 1) * N_vec keys of 8 bytes.
+    With L = 10 and N_vec > 1, as in every case here, each later generation
+    takes (L - 1) * N_vec keys of 8 bytes.
     """
-    return generations * 8 * (l - 1) * n_vec
+    return generations * 8 * 9 * n_vec
 
 
 def _command(cfg_path: Path) -> str:

@@ -346,7 +346,7 @@ def test_ga_weighted_scores_match_raw_for_zero_alpha():
     dict(M=1, N=1, N_vec=1),              # mutants of the one selection take no keys
     dict(M=8, N=3, N_vec=16, S=0),        # no mutants
     dict(M=6, N=6, N_vec=6),              # N == N_vec: mutants swap two slots
-])
+], ids=["spare_columns", "three_key_chunks", "single_column", "no_mutants", "full_codebook"])
 def test_ga_run_draws_a_fixed_number_of_keys(shape):
     # ga_run draws many generations' keys before it knows their queens, which
     # is only sound because every generation takes the same number of keys,
