@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from .core import ComplexMatrix, DimensionError, SystemConfig
+from .core import ComplexMatrix, SystemConfig
 
 # Sub-stream labels under one (seed, realization) pair. Keeping the channel,
 # the search, and any baseline searches on separate streams means adding or
@@ -22,10 +22,6 @@ def stream_rng(seed: int, realization_index: int, stream: int = STREAM_CHANNEL) 
     A pure function of its arguments: any realization can be regenerated in
     isolation, in any order, on any worker.
     """
-    if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
-    if realization_index < 0:
-        raise ValueError(f"realization_index must be non-negative, got {realization_index}")
     ss = np.random.SeedSequence([int(seed), int(realization_index), int(stream)])
     return np.random.default_rng(ss)
 
@@ -44,10 +40,6 @@ def build_los(cfg: SystemConfig) -> ComplexMatrix:
     with c chosen so the matrix has total power N*M.
     """
     n, m, beta = cfg.N, cfg.M, cfg.beta
-    if beta < 0:
-        raise ValueError(f"beta must be non-negative, got {beta}")
-    if 2.0 * beta**2 > 1.0:
-        raise ValueError(f"beta={beta} puts more than unit power on a diagonal entry (need 2*beta^2 <= 1)")
     d = min(n, m)
     total = n * m
     h = np.zeros((n, m), dtype=np.complex128)
@@ -65,10 +57,6 @@ def compose_channel(h_los: ComplexMatrix, h_nlos: ComplexMatrix, k: float) -> Co
     k=0 returns the NLOS matrix unchanged and k=inf returns the LOS matrix
     unchanged, with no floating-point residue in either case.
     """
-    if h_los.shape != h_nlos.shape:
-        raise DimensionError(f"LOS shape {h_los.shape} differs from NLOS shape {h_nlos.shape}")
-    if not k >= 0:
-        raise ValueError(f"Rician factor must be non-negative, got {k}")
     if k == 0:
         return h_nlos
     if math.isinf(k):

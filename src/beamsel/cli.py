@@ -78,7 +78,7 @@ def apply_cli_overrides(ec: ExperimentConfig, sets: tuple[str, ...]) -> Experime
 def _load_experiment(args: argparse.Namespace) -> ExperimentConfig:
     ec = apply_cli_overrides(parse_config(args.config), tuple(args.sets))
     if args.seed is not None:
-        ec = replace(ec, base=ec.base.with_overrides(seed=args.seed))
+        ec = replace(ec, base=replace(ec.base, seed=args.seed))
     return ec
 
 
@@ -220,8 +220,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.workers < 1:
             raise ConfigError(f"workers must be at least 1, got {args.workers}")
-        if args.seed is not None and not 0 <= args.seed < 2**64:
-            raise ConfigError(f"seed must fit in an unsigned 64-bit integer, got {args.seed}")
         return _COMMANDS[args.command](args)
     except (ConfigError, SearchSpaceError) as exc:
         print(f"error: {exc}", file=sys.stderr)

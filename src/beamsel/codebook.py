@@ -35,10 +35,6 @@ def build_dft_codebook(m: int, n_vec: int) -> Codebook:
     and its matrix is read-only, so one instance per shape is cached and
     shared by every realization.
     """
-    if m < 1:
-        raise ValueError(f"codebook needs at least one antenna row, got M={m}")
-    if n_vec < m:
-        raise ValueError(f"codebook needs N_vec >= M candidate vectors, got N_vec={n_vec} < M={m}")
     rows = np.arange(m, dtype=np.float64)[:, None]
     cols = np.arange(n_vec, dtype=np.float64)[None, :]
     w = np.exp(-2j * np.pi * rows * cols / n_vec)

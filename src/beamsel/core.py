@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -110,14 +110,6 @@ class SystemConfig:
     @property
     def P_linear(self) -> float:
         return db_to_linear(self.P_dB)
-
-    def with_overrides(self, **kwargs) -> "SystemConfig":
-        """Return a copy with the given fields replaced."""
-        pa_keys = {k: v for k, v in kwargs.items() if k in ("epsilon", "mu", "rho_max_dB")}
-        rest = {k: v for k, v in kwargs.items() if k not in pa_keys}
-        if pa_keys:
-            rest["pa"] = replace(self.pa, **pa_keys)
-        return replace(self, **rest)
 
 
 def validate_config(cfg: SystemConfig) -> list[str]:

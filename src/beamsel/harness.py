@@ -12,6 +12,7 @@ import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from itertools import repeat
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -20,12 +21,11 @@ import numpy as np
 from ._version import __version__
 from .channel import STREAM_BASELINE, STREAM_SEARCH, realize_channel, stream_rng
 from .core import ConfigError, SystemConfig, validate_config
-from .metrics import ObjectiveKind, SaturationError, served_stats
+from .metrics import ObjectiveKind, served_stats
 from .search import (
     EXHAUSTIVE_CAP,
     STREAM_LAYOUT,
     GaTrajectory,
-    SearchSpaceError,
     SelectionEvaluator,
     exhaustive_search,
     ga_run,
@@ -93,7 +93,9 @@ def apply_override(cfg: SystemConfig, key: str, value) -> SystemConfig:
         value = int(value)
     elif entry.parse is float:
         value = float(value)
-    return cfg.with_overrides(**{entry.field: value})
+    if entry.owner == "pa":
+        return replace(cfg, pa=replace(cfg.pa, **{entry.field: value}))
+    return replace(cfg, **{entry.field: value})
 
 
 def apply_settings(ec: ExperimentConfig, settings) -> ExperimentConfig:
@@ -167,8 +169,6 @@ def convergence_iteration(traj: GaTrajectory, alpha: float | None = None, tol: f
     a = traj.alpha if alpha is None else alpha
     if a > 0:
         return int(np.argmax(traj.weighted_scores(a))) + 1
-    if not 0.0 <= tol < 1.0:
-        raise ValueError(f"tol must be in [0, 1), got {tol}")
     target = (1.0 - tol) * traj.final_raw
     return int(np.argmax(traj.raw_scores >= target)) + 1
 
@@ -196,7 +196,6 @@ class RealizationOutcome:
     kstar_no_delay: int          # stopping iteration under alpha = 0
     final_weighted: float        # best delay-weighted score of the run
     served: int
-    outage_flags_total: int
     user_rates_constrained: np.ndarray  # (N,) rates at K*, zeroed for users in outage
     baseline_scores: dict[str, float]
 
@@ -225,14 +224,9 @@ def _run_realization(ec: ExperimentConfig, cfg: SystemConfig, index: int) -> Rea
         kstar_no_delay=kstar0,
         final_weighted=float(weighted.max()),
         served=served,
-        outage_flags_total=int(flags.sum()),
         user_rates_constrained=constrained,
         baseline_scores=baseline_scores,
     )
-
-
-def _realization_job(args) -> RealizationOutcome:
-    return _run_realization(*args)
 
 
 @dataclass
@@ -249,7 +243,6 @@ class SweepPointResult:
     convergence_iterations: np.ndarray   # (R,)
     convergence_iterations_no_delay: np.ndarray
     served_counts: np.ndarray            # (R,)
-    outage_flag_total: int
     rate_samples: np.ndarray             # (R*N,) outage-constrained per-user rates at K*
     baseline_means: dict[str, float]
     wall_seconds: float
@@ -272,7 +265,8 @@ class SweepPointResult:
 
     @property
     def empirical_outage_prob(self) -> float:
-        return float(self.outage_flag_total / (self.realizations * self.cfg.N))
+        users = self.realizations * self.cfg.N
+        return float((users - int(self.served_counts.sum())) / users)
 
     @property
     def avg_served_users(self) -> float:
@@ -323,7 +317,6 @@ def _aggregate(sweep_value: float | None, cfg: SystemConfig,
         convergence_iterations=np.array([o.kstar for o in outcomes]),
         convergence_iterations_no_delay=np.array([o.kstar_no_delay for o in outcomes]),
         served_counts=np.array([o.served for o in outcomes]),
-        outage_flag_total=int(sum(o.outage_flags_total for o in outcomes)),
         rate_samples=np.concatenate([o.user_rates_constrained for o in outcomes]),
         baseline_means=baseline_means,
         wall_seconds=wall,
@@ -331,10 +324,12 @@ def _aggregate(sweep_value: float | None, cfg: SystemConfig,
 
 
 def run_experiment(ec: ExperimentConfig, workers: int = 1) -> ExperimentResult:
-    """Run every sweep point; failures abort only the point they occur in.
+    """Run every sweep point that passes ec.violations; report the others as errors.
 
-    Realizations are reduced in index order whatever the worker count, so a
-    given (config, seed) pair always produces identical numbers.
+    A point is screened before any of its realizations runs, so an exception
+    raised inside a realization is a bug and propagates. Realizations are
+    reduced in index order whatever the worker count, so a given (config,
+    seed) pair always produces identical numbers.
     """
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
@@ -348,16 +343,13 @@ def run_experiment(ec: ExperimentConfig, workers: int = 1) -> ExperimentResult:
             if violations:
                 result.errors.append(PointError(sweep_value, "invalid configuration: " + "; ".join(violations)))
                 continue
-            jobs = [(ec, cfg, r) for r in range(cfg.realizations)]
-            try:
-                if pool is None:
-                    outcomes = [_realization_job(j) for j in jobs]
-                else:
-                    chunk = max(1, len(jobs) // (workers * 4))
-                    outcomes = list(pool.map(_realization_job, jobs, chunksize=chunk))
-            except (SaturationError, SearchSpaceError, ConfigError) as exc:
-                result.errors.append(PointError(sweep_value, f"{type(exc).__name__}: {exc}"))
-                continue
+            n = cfg.realizations
+            if pool is None:
+                outcomes = [_run_realization(ec, cfg, r) for r in range(n)]
+            else:
+                chunk = max(1, n // (workers * 4))
+                outcomes = list(pool.map(_run_realization, repeat(ec), repeat(cfg), range(n),
+                                         chunksize=chunk))
             result.points.append(_aggregate(sweep_value, cfg, outcomes, time.perf_counter() - t0))
     finally:
         if pool is not None:

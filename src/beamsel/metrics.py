@@ -30,10 +30,7 @@ def rates(sinr_values: np.ndarray) -> np.ndarray:
 
     Uses log1p so thresholds near zero keep full relative precision.
     """
-    s = np.asarray(sinr_values, dtype=np.float64)
-    if np.any(s < 0):
-        raise ValueError("SINR cannot be negative")
-    return np.log1p(s) / _LN2
+    return np.log1p(np.asarray(sinr_values, dtype=np.float64)) / _LN2
 
 
 def min_rate_for_threshold(theta_dB: float) -> float:

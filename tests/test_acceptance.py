@@ -9,6 +9,7 @@ swallow it.
 import math
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -174,7 +175,7 @@ def test_c08_outage_constraint_behavior():
     checks = []
     rel_at_zero = None
     for theta in (-4.0, -2.0, 0.0):
-        eb = base.with_overrides(theta_dB=theta)
+        eb = replace(base, theta_dB=theta)
         con = run_experiment(ExperimentConfig(base=eb, sweep_key="P_dB", sweep_values=grid,
                                               objective_kind=ObjectiveKind.OUTAGE_THROUGHPUT))
         con_means = np.array([pt.mean_final_throughput for pt in con.points])
@@ -195,13 +196,13 @@ def test_c09_served_users_ordering():
     for theta in (-4.0, -2.0, 0.0):
         served = {}
         for kind in (ObjectiveKind.OUTAGE_COUNT, ObjectiveKind.OUTAGE_THROUGHPUT):
-            eb = base.with_overrides(theta_dB=theta)
+            eb = replace(base, theta_dB=theta)
             res = run_experiment(ExperimentConfig(base=eb, objective_kind=kind))
             served[kind] = res.points[0].avg_served_users
         oc = served[ObjectiveKind.OUTAGE_COUNT]
         ot = served[ObjectiveKind.OUTAGE_THROUGHPUT]
         checks.append((oc > ot, f"theta={theta:g}: count-optimized serves {oc:.2f} vs {ot:.2f}"))
-    eb = base.with_overrides(theta_dB=-100.0)
+    eb = replace(base, theta_dB=-100.0)
     exact = []
     for kind in (ObjectiveKind.OUTAGE_COUNT, ObjectiveKind.OUTAGE_THROUGHPUT):
         res = run_experiment(ExperimentConfig(base=eb, objective_kind=kind))

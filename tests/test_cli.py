@@ -165,6 +165,10 @@ def test_validate_command(tmp_path, capsys):
             argv += ["--set", item]
         assert main(argv) == 1
         assert message in capsys.readouterr().out
+    # --seed reaches the same seed rule as --set seed=...
+    for argv in (["--seed", "-1"], ["--set", "seed=-1"]):
+        assert main(["validate", "--config", str(p), *argv]) == 1
+        assert "seed must fit in an unsigned 64-bit integer" in capsys.readouterr().out
     assert main(["validate", "--config", str(p), "--set", "objective=bogus"]) == 1
     assert "error: --set: " in capsys.readouterr().err
 

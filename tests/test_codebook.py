@@ -47,13 +47,6 @@ def test_oversampled_codebook_keeps_dft_subset():
     np.testing.assert_allclose(wide[:, ::2], square, atol=1e-12)
 
 
-def test_rejects_codebook_narrower_than_array():
-    with pytest.raises(ValueError):
-        build_dft_codebook(8, 4)
-    with pytest.raises(ValueError):
-        build_dft_codebook(0, 4)
-
-
 def test_shape_properties():
     cb = build_dft_codebook(32, 128)
     assert cb.m == 32

@@ -149,6 +149,9 @@ def test_validate_config_collects_multiple_violations():
     assert any("L >= 2" in e for e in errs)
     assert any("S >= 0" in e for e in errs)
     assert any("N_it >= 1" in e for e in errs)
+    errs = validate_config(SystemConfig(M=0, N=1, N_vec=8, beta=-0.1))
+    assert any("M >= 1" in e for e in errs)
+    assert any("beta >= 0" in e for e in errs)
 
 
 def test_validate_config_pa_bounds():
@@ -181,14 +184,6 @@ def test_validate_config_k_and_seed():
                for e in validate_config(SystemConfig(M=4, N=2, N_vec=8, theta_dB=math.nan)))
     for theta in (math.inf, -math.inf):  # nobody served, everybody served: both consistent
         assert validate_config(SystemConfig(M=4, N=2, N_vec=8, theta_dB=theta)) == []
-
-
-def test_with_overrides_routes_pa_fields():
-    cfg = SystemConfig(M=4, N=2, N_vec=8)
-    out = cfg.with_overrides(P_dB=20.0, epsilon=0.5, mu=0.5, rho_max_dB=35.0)
-    assert out.P_dB == 20.0
-    assert out.pa == PaParams(epsilon=0.5, mu=0.5, rho_max_dB=35.0)
-    assert cfg.pa == IDEAL_PA  # original untouched
 
 
 def test_p_linear():

@@ -20,8 +20,8 @@ from beamsel.harness import (
     run_experiment,
     write_result_files,
 )
-from beamsel.metrics import ObjectiveKind
-from beamsel.search import STREAM_LAYOUT, GaTrajectory, SelectionEvaluator
+from beamsel.metrics import ObjectiveKind, SaturationError
+from beamsel.search import STREAM_LAYOUT, GaTrajectory, SearchSpaceError, SelectionEvaluator
 
 
 def _traj(raw, alpha=0.0, n=2):
@@ -54,8 +54,6 @@ def test_convergence_iteration_weighted_rule():
 def test_convergence_iteration_explicit_alpha_overrides():
     traj = _traj([1.0, 2.0, 3.0, 3.0], alpha=0.1)
     assert convergence_iteration(traj, alpha=0.0) == 3
-    with pytest.raises(ValueError):
-        convergence_iteration(traj, alpha=0.0, tol=1.0)
 
 
 def test_rate_cdf_pairs():
@@ -84,7 +82,12 @@ def test_apply_override_routing():
     cfg = _base()
     assert apply_override(cfg, "M", "16").M == 16
     assert apply_override(cfg, "k", 3).k == 3.0
-    assert apply_override(cfg, "pa_epsilon", "0.5").pa.epsilon == 0.5
+    out = cfg
+    for key, value in (("pa_epsilon", "0.5"), ("pa_mu", 0.5), ("pa_rho_max_dB", "35")):
+        out = apply_override(out, key, value)
+    assert out.pa == PaParams(epsilon=0.5, mu=0.5, rho_max_dB=35.0)
+    assert replace(out, pa=cfg.pa) == cfg  # only the amplifier changed
+    assert cfg.pa == PaParams()  # original untouched
     with pytest.raises(ConfigError):
         apply_override(cfg, "N_it", 12.5)
     with pytest.raises(ConfigError):
@@ -185,7 +188,8 @@ def test_run_experiment_worker_count_does_not_change_numbers():
                                   parallel.points[0].final_throughputs)
     np.testing.assert_array_equal(serial.points[0].rate_samples,
                                   parallel.points[0].rate_samples)
-    assert serial.points[0].outage_flag_total == parallel.points[0].outage_flag_total
+    np.testing.assert_array_equal(serial.points[0].served_counts,
+                                  parallel.points[0].served_counts)
 
 
 def test_run_experiment_isolates_saturating_point():
@@ -217,13 +221,15 @@ def test_run_experiment_isolates_oversized_exhaustive_point():
     assert "exhaustive baseline" in result.errors[0].message
 
 
-def test_run_experiment_propagates_plain_value_error(monkeypatch):
-    # Only the typed domain errors become point errors; anything else is a bug.
+@pytest.mark.parametrize("error", [ValueError, SaturationError, SearchSpaceError, ConfigError])
+def test_run_experiment_propagates_realization_errors(monkeypatch, error):
+    # The point screen runs before any realization, so whatever a realization
+    # raises is a bug, typed domain errors included.
     def broken(cfg, index):
-        raise ValueError("not a domain error")
+        raise error("raised inside a realization")
 
     monkeypatch.setattr(harness, "realize_channel", broken)
-    with pytest.raises(ValueError, match="not a domain error"):
+    with pytest.raises(error, match="raised inside a realization"):
         run_experiment(ExperimentConfig(base=_base(realizations=1)))
 
 
@@ -305,7 +311,7 @@ def test_aggregate_is_order_insensitive():
     rev = _aggregate(None, cfg, list(reversed(outcomes)), 0.0)
     np.testing.assert_allclose(fwd.mean_weighted_curve, rev.mean_weighted_curve, rtol=1e-12)
     assert fwd.mean_final_throughput == pytest.approx(rev.mean_final_throughput, rel=1e-12)
-    assert fwd.outage_flag_total == rev.outage_flag_total
+    assert fwd.empirical_outage_prob == rev.empirical_outage_prob
     assert sorted(fwd.final_throughputs) == sorted(rev.final_throughputs.tolist())
 
 

@@ -130,8 +130,6 @@ def test_rates_pinned_points():
     np.testing.assert_array_equal(rates(np.array([0.0])), [0.0])
     assert rates(np.array([1.0]))[0] == pytest.approx(1.0, abs=1e-15)
     assert rates(np.array([3.0]))[0] == pytest.approx(2.0, abs=1e-15)
-    with pytest.raises(ValueError):
-        rates(np.array([-0.1]))
 
 
 def test_min_rate_for_threshold():

@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -313,7 +314,7 @@ def test_ga_trajectory_independent_of_alpha():
     # the undiscounted score, so alpha must not steer it.
     cfg = _cfg(M=8, N=2, N_vec=16, N_it=30, alpha=0.001)
     h = _channel(cfg)
-    slow = ga_run(SelectionEvaluator(cfg.with_overrides(alpha=0.0), h), stream_rng(5, 0, STREAM_SEARCH))
+    slow = ga_run(SelectionEvaluator(replace(cfg, alpha=0.0), h), stream_rng(5, 0, STREAM_SEARCH))
     fast = ga_run(SelectionEvaluator(cfg, h), stream_rng(5, 0, STREAM_SEARCH))
     np.testing.assert_array_equal(slow.queens, fast.queens)
     np.testing.assert_array_equal(slow.raw_scores, fast.raw_scores)
