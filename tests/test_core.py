@@ -12,6 +12,7 @@ from beamsel.core import (
     db_to_linear,
     validate_config,
 )
+from beamsel.harness import apply_override
 from scalar_oracle import identity, matmul
 
 
@@ -184,6 +185,18 @@ def test_validate_config_k_and_seed():
                for e in validate_config(SystemConfig(M=4, N=2, N_vec=8, theta_dB=math.nan)))
     for theta in (math.inf, -math.inf):  # nobody served, everybody served: both consistent
         assert validate_config(SystemConfig(M=4, N=2, N_vec=8, theta_dB=theta)) == []
+
+
+def test_with_overrides_routes_pa_fields():
+    # Overrides of the amplifier keys land in cfg.pa; the rest stay top-level.
+    cfg = SystemConfig(M=4, N=2, N_vec=8)
+    out = cfg
+    for key, value in (("P_dB", 20.0), ("pa_epsilon", 0.5), ("pa_mu", 0.5),
+                       ("pa_rho_max_dB", 35.0)):
+        out = apply_override(out, key, value)
+    assert out.P_dB == 20.0
+    assert out.pa == PaParams(epsilon=0.5, mu=0.5, rho_max_dB=35.0)
+    assert cfg.pa == IDEAL_PA  # original untouched
 
 
 def test_p_linear():
