@@ -108,6 +108,20 @@ COUNT_BASELINE_GOLDEN = {
     "summary.csv": "79045ae17a642d6038fadaef0e5cad2902a1864ea98909a22c1e6cbcdf534cee",
 }
 
+# numpy sums a row of fewer than 8 terms in order and a longer one pairwise,
+# so the cases above leave the baselines' N >= 8 reductions unpinned. This
+# count case runs them at N = 8, where exhaustive enumeration is still cheap.
+N8_BASELINE_OVERRIDES = ("--set", "M=8", "--set", "N=8", "--set", "N_vec=9",
+                         "--set", "baselines=random,exhaustive")
+N8_BASELINE_GOLDEN = {
+    "baselines.csv": "f960b6010860f42bbd776d2c17c2dffdde619a0e6a22e2a67ab4aeeae52514b9",
+    "cdf.csv": "bfa70e9a1dafa985d588bd4d5f73a0295fe161af5789b333598f9fb372f54021",
+    "convergence.csv": "b3ee34cf798d995fd135ae976be9e1fb62cce13047714f326499469e3b1eb7ae",
+    "curve.csv": "816a77411726e2204430522ebc252bf32703a46dc28762ab98670b53a0da8b55",
+    "curve_example.csv": "6aff0477db9ffd80be132d7605ae62fc5c749da53137d9171034f2e5cf811926",
+    "summary.csv": "a23efcf6cb96f46617367476ffd933bf44041df4f1b5b45977dd9b9365cbc9a4",
+}
+
 
 # Every recipe replaces one slot per mutation from a codebook with spare
 # columns. These ga_run cases pin the other mutation shapes: several slots
@@ -183,6 +197,11 @@ def test_count_baseline_csvs_match_golden_digests(tmp_path):
     assert got == COUNT_BASELINE_GOLDEN
 
 
+def test_n8_baseline_csvs_match_golden_digests(tmp_path):
+    got = recipe_digests(CONFIG_DIR / "served_users.cfg", tmp_path, N8_BASELINE_OVERRIDES)
+    assert got == N8_BASELINE_GOLDEN
+
+
 @pytest.mark.parametrize("shape", sorted(GA_GOLDEN))
 def test_ga_run_matches_golden_digest(shape):
     assert ga_digest(shape) == GA_GOLDEN[shape]
@@ -213,8 +232,11 @@ if __name__ == "__main__":
                                   BASELINE_OVERRIDES)
         count_baseline = recipe_digests(CONFIG_DIR / "served_users.cfg",
                                         Path(tmp) / "count_baselines", COUNT_BASELINE_OVERRIDES)
+        n8_baseline = recipe_digests(CONFIG_DIR / "served_users.cfg",
+                                     Path(tmp) / "n8_baselines", N8_BASELINE_OVERRIDES)
     print("GOLDEN =", json.dumps(golden, indent=4))
     print("BASELINE_GOLDEN =", json.dumps(baseline, indent=4))
     print("COUNT_BASELINE_GOLDEN =", json.dumps(count_baseline, indent=4))
+    print("N8_BASELINE_GOLDEN =", json.dumps(n8_baseline, indent=4))
     print("GA_GOLDEN =", json.dumps({shape: ga_digest(shape) for shape in sorted(GA_SHAPES)},
                                     indent=4))
