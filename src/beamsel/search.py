@@ -47,31 +47,67 @@ def n_replaced(mutation_fraction: float, n: int) -> int:
     return max(1, math.ceil(mutation_fraction * n - 1e-9))
 
 
-@dataclass(frozen=True)
 class EvalBatch:
-    """Scores for a batch of candidate selections under one objective."""
+    """Scores for a batch of candidate selections under one objective.
 
-    kind: ObjectiveKind
-    user_rates: np.ndarray     # (B, N)
-    raw: np.ndarray            # (B,) undiscounted objective scalar
-    weighted_base: np.ndarray  # (B,) the sum that (1 - alpha*K) multiplies
-    served: np.ndarray | None  # (B,) served user counts, outage objectives only
-    total_sum: np.ndarray      # (B,) plain sum rate, used as the count tie-break
+    Scoring computes only what ranking reads: raw, which for the count
+    objective is the served counts. The other fields are derived from
+    user_rates on first read. Every per-member sum runs over that member's
+    own C-contiguous row, so a member's scores do not depend on the batch
+    around it.
+    """
+
+    def __init__(self, kind: ObjectiveKind, user_rates: np.ndarray, min_rate: float):
+        self.kind = kind
+        self.user_rates = user_rates  # (B, N)
+        self._min_rate = min_rate
+        # (B,) undiscounted objective scalar
+        if kind is ObjectiveKind.THROUGHPUT:
+            self.raw = self.total_sum
+        elif kind is ObjectiveKind.OUTAGE_THROUGHPUT:
+            self.raw = self.weighted_base
+        else:
+            self.raw = self.served.astype(np.float64)
+
+    @functools.cached_property
+    def total_sum(self) -> np.ndarray:
+        """(B,) plain sum rate, the count objective's tie-break."""
+        return self.user_rates.sum(axis=1)
+
+    @functools.cached_property
+    def weighted_base(self) -> np.ndarray:
+        """(B,) the sum that (1 - alpha*K) multiplies: the served users' rates for outage objectives."""
+        if self.kind is ObjectiveKind.THROUGHPUT:
+            return self.total_sum
+        return np.where(self.user_rates >= self._min_rate, self.user_rates, 0.0).sum(axis=1)
+
+    @functools.cached_property
+    def served(self) -> np.ndarray | None:
+        """(B,) served user counts, outage objectives only.
+
+        Counted over a contiguous (N, B) plane, which is much faster than a
+        short row axis; integer counts are exact in any order.
+        """
+        if self.kind is ObjectiveKind.THROUGHPUT:
+            return None
+        return np.greater_equal(self.user_rates.T, self._min_rate, order="C").sum(axis=0)
 
     def best_index(self) -> int:
         """Index of the best member; ties resolve to the lowest index."""
-        return rank_best(self.kind, self.raw, self.total_sum)
+        return rank_best(self.kind, self.raw, self.user_rates)
 
 
-def rank_best(kind: ObjectiveKind, raw: np.ndarray, total_sum: np.ndarray) -> int:
+def rank_best(kind: ObjectiveKind, raw: np.ndarray, user_rates: np.ndarray) -> int:
     """Index of the best of B scored members; ties resolve to the lowest index.
 
     The count objective's raw score is the served count, and among the
-    members that serve the most users the highest sum rate wins. The other
-    objectives rank by raw score alone.
+    members that serve the most users the highest sum rate wins; only those
+    members' (B, N) user_rates rows are summed. The other objectives rank by
+    raw score alone.
     """
     if kind is ObjectiveKind.OUTAGE_COUNT:
-        return int(np.argmax(np.where(raw == raw.max(), total_sum, -np.inf)))
+        tied = np.flatnonzero(raw == raw.max())
+        return int(tied[np.argmax(user_rates[tied].sum(axis=1))])
     return int(np.argmax(raw))
 
 
@@ -104,25 +140,14 @@ class SelectionEvaluator:
         if sels.ndim == 1:
             sels = sels[None, :]
         # gains[j, b, i] = power user i receives from member b's j-th beam.
-        # Slot-major, so the sum over beams adds contiguous (B, N) planes.
-        gains = self._column_gains[sels.T]
+        # Slot-major, so the sum over beams adds contiguous (B, N) planes in
+        # slot order. np.take copies whole rows, several times faster than
+        # the equivalent fancy index.
+        gains = np.take(self._column_gains, sels.T, axis=0)
         signal = np.einsum("ibi->bi", gains)
         interference = gains.sum(axis=0) - signal
         snr = sinr_from_components(signal, interference, self._p_over_m)
-        user_rates = rates(snr)
-        total_sum = user_rates.sum(axis=1)
-        kind = self.kind
-        served = None
-        if kind is ObjectiveKind.THROUGHPUT:
-            raw = total_sum
-            base = total_sum
-        else:
-            served_mask = user_rates >= self._min_rate
-            served = served_mask.sum(axis=1)
-            base = np.where(served_mask, user_rates, 0.0).sum(axis=1)
-            raw = base if kind is ObjectiveKind.OUTAGE_THROUGHPUT else served.astype(np.float64)
-        return EvalBatch(kind=kind, user_rates=user_rates, raw=raw,
-                         weighted_base=base, served=served, total_sum=total_sum)
+        return EvalBatch(self.kind, rates(snr), self._min_rate)
 
 
 def _draw_selection(count: int, n: int, n_vec: int, rng: np.random.Generator) -> np.ndarray:
@@ -266,17 +291,18 @@ def search_space_size(cfg: SystemConfig) -> int:
 def _best_of_chunks(ev: SelectionEvaluator, chunks) -> tuple[np.ndarray, float]:
     """Score each (B, N) chunk of selections and return (best row, raw score).
 
-    rank_best picks each chunk's winner and then the best of the winners, so
-    ties resolve to the earliest member whatever the chunk size.
+    rank_best picks each chunk's winner and then the best of the winners,
+    whose rates rows it reads, so ties resolve to the earliest member
+    whatever the chunk size.
     """
-    rows, raw, total_sum = [], [], []
+    rows, raw, user_rates = [], [], []
     for arr in chunks:
         batch = ev.evaluate(arr)
         i = batch.best_index()
         rows.append(arr[i])
         raw.append(batch.raw[i])
-        total_sum.append(batch.total_sum[i])
-    w = rank_best(ev.kind, np.array(raw), np.array(total_sum))
+        user_rates.append(batch.user_rates[i])
+    w = rank_best(ev.kind, np.array(raw), np.array(user_rates))
     return rows[w].copy(), float(raw[w])
 
 
@@ -284,11 +310,14 @@ def _best_of_chunks(ev: SelectionEvaluator, chunks) -> tuple[np.ndarray, float]:
 def _ordered_selections(n_vec: int, n: int) -> np.ndarray:
     """Read-only int64 table of every ordered selection, in itertools.permutations order.
 
-    Only the latest shape is cached, so at EXHAUSTIVE_CAP the table holds at
-    most 32.3 MiB (N_vec=10, N=7).
+    Row r is the r-th selection, but the table is stored slot-major (Fortran
+    order), so a block of rows transposes into the contiguous (N, B) index
+    that evaluate gathers with. Only the latest shape is cached, so at
+    EXHAUSTIVE_CAP the table holds at most 32.3 MiB (N_vec=10, N=7).
     """
     perms = itertools.chain.from_iterable(itertools.permutations(range(n_vec), n))
-    table = np.fromiter(perms, dtype=np.int64, count=math.perm(n_vec, n) * n).reshape(-1, n)
+    table = np.asfortranarray(
+        np.fromiter(perms, dtype=np.int64, count=math.perm(n_vec, n) * n).reshape(-1, n))
     table.flags.writeable = False
     return table
 

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from beamsel.channel import realize_channel, stream_rng, STREAM_SEARCH
@@ -12,7 +12,9 @@ from beamsel.core import ComplexMatrix, PaParams, SystemConfig, db_to_linear
 from beamsel.metrics import ObjectiveKind, pa_output_power, rates
 import beamsel.search as search
 from beamsel.search import (
+    EvalBatch,
     SearchSpaceError,
+    _best_of_chunks,
     _draw_selection,
     _ordered_selections,
     SelectionEvaluator,
@@ -285,11 +287,72 @@ def test_rank_best_matches_lexicographic_oracle(members):
     # Values from 0..3 make ties in served count, in sum rate and in both common.
     served, total = (list(col) for col in zip(*members))
     raw = np.array(served, dtype=np.float64)
-    total_sum = np.array(total, dtype=np.float64)
-    assert rank_best(ObjectiveKind.OUTAGE_COUNT, raw, total_sum) == lexicographic_best(served, total)
+    user_rates = np.array(total, dtype=np.float64)[:, None]  # one user, whose rate is the sum
+    assert rank_best(ObjectiveKind.OUTAGE_COUNT, raw, user_rates) == lexicographic_best(served, total)
     first_max = served.index(max(served))
-    assert rank_best(ObjectiveKind.THROUGHPUT, raw, total_sum) == first_max
-    assert rank_best(ObjectiveKind.OUTAGE_THROUGHPUT, raw, total_sum) == first_max
+    assert rank_best(ObjectiveKind.THROUGHPUT, raw, user_rates) == first_max
+    assert rank_best(ObjectiveKind.OUTAGE_THROUGHPUT, raw, user_rates) == first_max
+
+
+@pytest.mark.parametrize("kind", list(ObjectiveKind))
+@pytest.mark.parametrize("n", [1, 2, 4, 7, 8, 9, 12])
+def test_member_scores_do_not_depend_on_the_batch(n, kind):
+    # numpy sums a row of fewer than 8 terms in order and a longer one
+    # pairwise, and a batch of one row can reach a different reduction path
+    # than a larger batch. Every field of a member must have the same bits
+    # scored alone, in a batch, in a permuted batch and in a slot-major
+    # (Fortran-order) batch like the exhaustive table's.
+    cfg = _cfg(M=16, N=n, N_vec=16, P_dB=10.0, theta_dB=0.0)
+    ev = SelectionEvaluator(cfg, _channel(cfg), kind)
+    sels = _draw_selection(33, n, 16, np.random.default_rng(n))
+    perm = np.random.default_rng(0).permutation(33)
+    batches = {
+        "batch": (ev.evaluate(sels), np.arange(33)),
+        "permuted": (ev.evaluate(sels[perm]), np.argsort(perm)),
+        "slot-major": (ev.evaluate(np.asfortranarray(sels)), np.arange(33)),
+    }
+    for b in range(33):
+        alone = ev.evaluate(sels[b])
+        for name, (batch, row) in batches.items():
+            for field in ("raw", "weighted_base", "total_sum", "served", "user_rates"):
+                want, got = getattr(alone, field), getattr(batch, field)
+                if want is None:
+                    assert got is None
+                else:
+                    assert got[row[b]].tobytes() == want[0].tobytes(), (name, field, b)
+
+
+class _TableEvaluator:
+    """Stands in for SelectionEvaluator under the count objective: selection [i] scores rates[i]."""
+
+    kind = ObjectiveKind.OUTAGE_COUNT
+
+    def __init__(self, rates: np.ndarray):
+        self.rates = rates
+
+    def evaluate(self, selections: np.ndarray) -> EvalBatch:
+        return EvalBatch(self.kind, self.rates[selections[:, 0]], 2.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.lists(
+    st.lists(st.integers(0, 3), min_size=n, max_size=n), min_size=1, max_size=12)),
+    st.integers(1, 5))
+@example([[3, 3], [0, 0], [2, 0]], 2)          # one row serves the most users
+@example([[1, 0], [0, 1], [1, 0]], 2)          # every row ties, in served count and sum rate
+@example([[0, 1], [1, 1], [1, 0]], 1)          # every row ties in served count
+@example([[2, 0], [0, 0], [2, 3], [2, 3]], 2)  # a later tied row wins, in a later chunk
+def test_count_ranking_matches_lexicographic_oracle(rows, chunk):
+    # Integer-valued rates against a threshold rate of 2 make ties in served
+    # count, and in sum rate among the tied rows, common.
+    user_rates = np.array(rows, dtype=np.float64)
+    served = (user_rates >= 2.0).sum(axis=1)
+    want = lexicographic_best(served.tolist(), user_rates.sum(axis=1).tolist())
+    assert EvalBatch(ObjectiveKind.OUTAGE_COUNT, user_rates, 2.0).best_index() == want
+    ids = np.arange(len(rows))[:, None]
+    sel, score = _best_of_chunks(_TableEvaluator(user_rates),
+                                 (ids[s:s + chunk] for s in range(0, len(rows), chunk)))
+    assert (sel.tolist(), score) == ([want], float(served[want]))
 
 
 def test_ga_scores_never_decrease():
