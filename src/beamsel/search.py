@@ -293,17 +293,18 @@ def _best_of_chunks(ev: SelectionEvaluator, chunks) -> tuple[np.ndarray, float]:
 
     rank_best picks each chunk's winner and then the best of the winners,
     whose rates rows it reads, so ties resolve to the earliest member
-    whatever the chunk size.
+    whatever the chunk size. The winners' rows are copied, so no chunk's
+    arrays outlive it.
     """
     rows, raw, user_rates = [], [], []
     for arr in chunks:
         batch = ev.evaluate(arr)
         i = batch.best_index()
-        rows.append(arr[i])
+        rows.append(arr[i].copy())
         raw.append(batch.raw[i])
-        user_rates.append(batch.user_rates[i])
+        user_rates.append(batch.user_rates[i].copy())
     w = rank_best(ev.kind, np.array(raw), np.array(user_rates))
-    return rows[w].copy(), float(raw[w])
+    return rows[w], float(raw[w])
 
 
 @functools.lru_cache(maxsize=1)
