@@ -21,10 +21,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .channel import STREAM_SEARCH, realize_channel, stream_rng
-from .core import ConfigError, SystemConfig, require_valid
+from .core import ConfigError, SystemConfig
 from .harness import ExperimentConfig, apply_settings, run_experiment, write_result_files
-from .search import SearchSpaceError, SelectionEvaluator, exhaustive_search, ga_run, search_space_size
+from .search import search_space_size
 
 REQUIRED_KEYS = ("M", "N", "N_vec")
 
@@ -151,28 +150,26 @@ def command_oracle_check(args: argparse.Namespace, attainment_threshold: float =
                          tolerance: float = 1e-9) -> int:
     """Run the genetic search against exhaustive enumeration on a small config.
 
-    Uses cfg.realizations independent trials. A trial attains the optimum when
-    the final raw score matches it to the relative tolerance. Exits 0 only
-    when the attainment fraction reaches the threshold.
+    Runs the base configuration with the exhaustive baseline, one trial per
+    realization. A trial attains the optimum when the final raw score matches
+    it to the relative tolerance. Exits 0 only when the attainment fraction
+    reaches the threshold.
     """
     ec = _load_experiment(args)
-    cfg = require_valid(ec.base)
-    size = search_space_size(cfg)
-    attained = 0
-    gaps = []
-    for r in range(cfg.realizations):
-        ev = SelectionEvaluator(cfg, realize_channel(cfg, r), ec.objective_kind)
-        _, opt = exhaustive_search(ev)
-        traj = ga_run(ev, stream_rng(cfg.seed, r, STREAM_SEARCH))
-        found = traj.final_raw
-        gaps.append(max(0.0, opt - found) / max(abs(opt), 1e-300))
-        if abs(found - opt) <= tolerance * max(1.0, abs(opt)):
-            attained += 1
-    fraction = attained / cfg.realizations
+    result = run_experiment(replace(ec, sweep_key=None, sweep_values=(), baselines=("exhaustive",)),
+                            workers=args.workers)
+    if result.errors:
+        raise ConfigError(result.errors[0].message)
+    pt = result.points[0]
+    size = search_space_size(pt.cfg)
+    found, opt = pt.final_raws, pt.baseline_scores["exhaustive"]
+    gaps = np.maximum(0.0, opt - found) / np.maximum(np.abs(opt), 1e-300)
+    attained = int(np.count_nonzero(np.abs(found - opt) <= tolerance * np.maximum(1.0, np.abs(opt))))
+    fraction = attained / pt.realizations
     mean_gap = float(np.mean(gaps))
     print(f"search space: {size} ordered selections")
-    print(f"trials: {cfg.realizations}")
-    print(f"attainment: {attained}/{cfg.realizations} = {fraction:.4f} "
+    print(f"trials: {pt.realizations}")
+    print(f"attainment: {attained}/{pt.realizations} = {fraction:.4f} "
           f"(threshold {attainment_threshold})")
     print(f"mean relative gap: {mean_gap:.3e}")
     out = Path(args.out)
@@ -180,7 +177,7 @@ def command_oracle_check(args: argparse.Namespace, attainment_threshold: float =
     report = out / "oracle_check.csv"
     with open(report, "w", encoding="utf-8", newline="\n") as f:
         f.write("trials,attained,attainment_fraction,mean_relative_gap,search_space\n")
-        f.write(f"{cfg.realizations},{attained},{repr(fraction)},{repr(mean_gap)},{size}\n")
+        f.write(f"{pt.realizations},{attained},{repr(fraction)},{repr(mean_gap)},{size}\n")
     print(f"wrote {report}")
     return 0 if fraction >= attainment_threshold else 1
 
@@ -221,7 +218,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.workers < 1:
             raise ConfigError(f"workers must be at least 1, got {args.workers}")
         return _COMMANDS[args.command](args)
-    except (ConfigError, SearchSpaceError) as exc:
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -21,7 +21,7 @@ import numpy as np
 from ._version import __version__
 from .channel import STREAM_BASELINE, STREAM_SEARCH, realize_channel, stream_rng
 from .core import ConfigError, SystemConfig, validate_config
-from .metrics import ObjectiveKind, served_stats
+from .metrics import ObjectiveKind
 from .search import (
     EXHAUSTIVE_CAP,
     STREAM_LAYOUT,
@@ -195,6 +195,7 @@ class RealizationOutcome:
     kstar: int                   # reported stopping iteration
     kstar_no_delay: int          # stopping iteration under alpha = 0
     final_weighted: float        # best delay-weighted score of the run
+    final_raw: float             # raw score of the last iteration
     served: int
     user_rates_constrained: np.ndarray  # (N,) rates at K*, zeroed for users in outage
     baseline_scores: dict[str, float]
@@ -206,9 +207,7 @@ def _run_realization(ec: ExperimentConfig, cfg: SystemConfig, index: int) -> Rea
     weighted = traj.weighted_scores()
     kstar = convergence_iteration(traj)
     kstar0 = convergence_iteration(traj, alpha=0.0, tol=ec.convergence_tol)
-    user_rates = ev.evaluate(traj.queens[kstar - 1]).user_rates[0]
-    served, flags = served_stats(user_rates, cfg.theta_dB)
-    constrained = np.where(flags, 0.0, user_rates)
+    at_kstar = ev.evaluate(traj.queens[kstar - 1])
     baseline_scores: dict[str, float] = {}
     if ec.baselines:
         brng = stream_rng(cfg.seed, index, STREAM_BASELINE)
@@ -223,8 +222,9 @@ def _run_realization(ec: ExperimentConfig, cfg: SystemConfig, index: int) -> Rea
         kstar=kstar,
         kstar_no_delay=kstar0,
         final_weighted=float(weighted.max()),
-        served=served,
-        user_rates_constrained=constrained,
+        final_raw=traj.final_raw,
+        served=int(at_kstar.served[0]),
+        user_rates_constrained=at_kstar.served_rates[0],
         baseline_scores=baseline_scores,
     )
 
@@ -240,11 +240,12 @@ class SweepPointResult:
     example_weighted_curve: np.ndarray   # realization 0, for single-run traces
     example_raw_curve: np.ndarray
     final_throughputs: np.ndarray        # (R,) per-realization best weighted score
+    final_raws: np.ndarray               # (R,) per-realization raw score of the last iteration
     convergence_iterations: np.ndarray   # (R,)
     convergence_iterations_no_delay: np.ndarray
     served_counts: np.ndarray            # (R,)
     rate_samples: np.ndarray             # (R*N,) outage-constrained per-user rates at K*
-    baseline_means: dict[str, float]
+    baseline_scores: dict[str, np.ndarray]  # name -> (R,) per-realization raw score
     wall_seconds: float
 
     @property
@@ -271,6 +272,10 @@ class SweepPointResult:
     @property
     def avg_served_users(self) -> float:
         return float(np.mean(self.served_counts))
+
+    @property
+    def baseline_means(self) -> dict[str, float]:
+        return {name: float(np.mean(s)) for name, s in self.baseline_scores.items()}
 
     @property
     def evaluations_per_realization(self) -> int:
@@ -303,9 +308,6 @@ def _aggregate(sweep_value: float | None, cfg: SystemConfig,
                outcomes: list[RealizationOutcome], wall: float) -> SweepPointResult:
     weighted = np.stack([o.weighted_curve for o in outcomes])
     raw = np.stack([o.raw_curve for o in outcomes])
-    baseline_means: dict[str, float] = {}
-    for name in outcomes[0].baseline_scores:
-        baseline_means[name] = float(np.mean([o.baseline_scores[name] for o in outcomes]))
     return SweepPointResult(
         sweep_value=sweep_value,
         cfg=cfg,
@@ -314,11 +316,13 @@ def _aggregate(sweep_value: float | None, cfg: SystemConfig,
         example_weighted_curve=outcomes[0].weighted_curve,
         example_raw_curve=outcomes[0].raw_curve,
         final_throughputs=np.array([o.final_weighted for o in outcomes]),
+        final_raws=np.array([o.final_raw for o in outcomes]),
         convergence_iterations=np.array([o.kstar for o in outcomes]),
         convergence_iterations_no_delay=np.array([o.kstar_no_delay for o in outcomes]),
         served_counts=np.array([o.served for o in outcomes]),
         rate_samples=np.concatenate([o.user_rates_constrained for o in outcomes]),
-        baseline_means=baseline_means,
+        baseline_scores={name: np.array([o.baseline_scores[name] for o in outcomes])
+                         for name in outcomes[0].baseline_scores},
         wall_seconds=wall,
     )
 

@@ -38,17 +38,6 @@ def min_rate_for_threshold(theta_dB: float) -> float:
     return float(math.log1p(db_to_linear(theta_dB)) / _LN2)
 
 
-def served_stats(r: np.ndarray, theta_dB: float) -> tuple[int, np.ndarray]:
-    """Count served users and flag the ones in outage.
-
-    Returns (served_count, outage_flags) where outage_flags[i] is True when
-    user i falls below the threshold.
-    """
-    r = np.asarray(r, dtype=np.float64)
-    flags = r < min_rate_for_threshold(theta_dB)
-    return int(r.size - flags.sum()), flags
-
-
 def pa_output_power(rho_cons: float, pa: PaParams) -> float:
     """Radiated power the amplifier produces when drawing rho_cons (linear scale).
 

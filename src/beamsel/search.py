@@ -75,21 +75,24 @@ class EvalBatch:
         return self.user_rates.sum(axis=1)
 
     @functools.cached_property
+    def served_rates(self) -> np.ndarray:
+        """(B, N) user_rates with the users below the rate threshold zeroed."""
+        return np.where(self.user_rates >= self._min_rate, self.user_rates, 0.0)
+
+    @functools.cached_property
     def weighted_base(self) -> np.ndarray:
         """(B,) the sum that (1 - alpha*K) multiplies: the served users' rates for outage objectives."""
         if self.kind is ObjectiveKind.THROUGHPUT:
             return self.total_sum
-        return np.where(self.user_rates >= self._min_rate, self.user_rates, 0.0).sum(axis=1)
+        return self.served_rates.sum(axis=1)
 
     @functools.cached_property
-    def served(self) -> np.ndarray | None:
-        """(B,) served user counts, outage objectives only.
+    def served(self) -> np.ndarray:
+        """(B,) served user counts: the users whose rate reaches the threshold.
 
         Counted over a contiguous (N, B) plane, which is much faster than a
         short row axis; integer counts are exact in any order.
         """
-        if self.kind is ObjectiveKind.THROUGHPUT:
-            return None
         return np.greater_equal(self.user_rates.T, self._min_rate, order="C").sum(axis=0)
 
     def best_index(self) -> int:

@@ -21,7 +21,6 @@ from beamsel.metrics import (
     ObjectiveKind,
     SaturationError,
     min_rate_for_threshold,
-    served_stats,
     sinr_from_components,
 )
 
@@ -97,6 +96,17 @@ def throughput(r: np.ndarray, alpha: float, k_it: int) -> float:
     """Delay-weighted sum throughput (1 - alpha*K) * sum(r)."""
     r = np.asarray(r, dtype=np.float64)
     return float(delay_factor(alpha, k_it) * r.sum())
+
+
+def served_stats(r: np.ndarray, theta_dB: float) -> tuple[int, np.ndarray]:
+    """Count served users and flag the ones in outage.
+
+    Returns (served_count, outage_flags) where outage_flags[i] is True when
+    user i falls below the threshold.
+    """
+    r = np.asarray(r, dtype=np.float64)
+    flags = r < min_rate_for_threshold(theta_dB)
+    return int(r.size - flags.sum()), flags
 
 
 def outage_throughput(r: np.ndarray, alpha: float, k_it: int, theta_dB: float) -> float:

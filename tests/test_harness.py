@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from beamsel import harness
+from beamsel.channel import STREAM_SEARCH, realize_channel, stream_rng
 from beamsel.core import ConfigError, PaParams, SystemConfig, validate_config
 from beamsel.harness import (
     ExperimentConfig,
@@ -21,7 +22,8 @@ from beamsel.harness import (
     write_result_files,
 )
 from beamsel.metrics import ObjectiveKind, SaturationError
-from beamsel.search import STREAM_LAYOUT, GaTrajectory, SearchSpaceError, SelectionEvaluator
+from beamsel.search import STREAM_LAYOUT, GaTrajectory, SearchSpaceError, SelectionEvaluator, ga_run
+from scalar_oracle import served_stats
 
 
 def _traj(raw, alpha=0.0, n=2):
@@ -116,18 +118,27 @@ def test_experiment_points():
 
 
 def test_point_search_uses_point_threshold_and_alpha():
-    # The count objective's raw score is the served count under the search's
-    # threshold. With alpha = 0 the K* queen holds the final score, so it must
-    # equal the count served_stats makes at the point's own theta_dB.
+    # Under every objective the served count and the constrained rates at K*
+    # must match scalar_oracle.served_stats at the point's own theta_dB. The
+    # count objective's raw score is that count, and with alpha = 0 the K*
+    # queen holds the final score.
     base = _base(N=4, P_dB=0.0, alpha=0.0, realizations=1)
-    ec = ExperimentConfig(base=base, objective_kind=ObjectiveKind.OUTAGE_COUNT,
-                          sweep_key="theta_dB", sweep_values=(-3.0, 6.0))
-    served = []
-    for _, cfg in ec.points():
-        outcome = _run_realization(ec, cfg, 0)
-        assert outcome.served == outcome.raw_curve[outcome.kstar - 1]
-        served.append(outcome.served)
-    assert served[0] > served[1]  # the two thresholds serve different counts
+    for kind in ObjectiveKind:
+        ec = ExperimentConfig(base=base, objective_kind=kind,
+                              sweep_key="theta_dB", sweep_values=(-3.0, 6.0))
+        served = []
+        for _, cfg in ec.points():
+            outcome = _run_realization(ec, cfg, 0)
+            ev = SelectionEvaluator(cfg, realize_channel(cfg, 0), kind)
+            queen = ga_run(ev, stream_rng(cfg.seed, 0, STREAM_SEARCH)).queens[outcome.kstar - 1]
+            r = ev.evaluate(queen).user_rates[0]
+            count, flags = served_stats(r, cfg.theta_dB)
+            assert outcome.served == count
+            assert outcome.user_rates_constrained.tobytes() == np.where(flags, 0.0, r).tobytes()
+            if kind is ObjectiveKind.OUTAGE_COUNT:
+                assert outcome.served == outcome.raw_curve[outcome.kstar - 1]
+            served.append(outcome.served)
+        assert served[0] > served[1]  # the two thresholds serve different counts
     # Under the rate-sum objective the weighted curve is (1 - alpha*K) times the raw one.
     ec = ExperimentConfig(base=_base(realizations=1), sweep_key="alpha", sweep_values=(0.0, 0.01))
     for _, cfg in ec.points():
@@ -297,6 +308,11 @@ def test_baseline_scores_bracket_the_search():
     assert set(pt.baseline_means) == {"random", "exhaustive"}
     assert pt.baseline_means["exhaustive"] >= pt.mean_final_throughput - 1e-12
     assert pt.baseline_means["random"] <= pt.baseline_means["exhaustive"] + 1e-12
+    # The per-realization scores bracket each run, and the means are theirs.
+    exhaustive = pt.baseline_scores["exhaustive"]
+    assert pt.final_raws.shape == exhaustive.shape == (base.realizations,)
+    assert np.all(pt.final_raws <= exhaustive) and np.all(pt.baseline_scores["random"] <= exhaustive)
+    assert pt.baseline_means["random"] == float(np.mean(pt.baseline_scores["random"]))
     assert pt.evaluations_per_realization == base.L * base.N_it
 
 

@@ -13,7 +13,6 @@ from beamsel.metrics import (
     min_rate_for_threshold,
     pa_output_power,
     rates,
-    served_stats,
     sinr_from_components,
 )
 from scalar_oracle import (
@@ -24,6 +23,7 @@ from scalar_oracle import (
     outage_throughput,
     pa_consumed_power,
     pa_effective_efficiency,
+    served_stats,
     sinr,
     throughput,
 )

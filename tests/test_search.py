@@ -28,7 +28,7 @@ from beamsel.search import (
     rank_mutation_keys,
     search_space_size,
 )
-from scalar_oracle import channel_gain, lexicographic_best, materialize, sinr
+from scalar_oracle import channel_gain, lexicographic_best, materialize, served_stats, sinr
 
 def _cfg(**kw):
     base = dict(M=8, N=2, N_vec=16, N_it=40, seed=1)
@@ -263,6 +263,13 @@ def test_evaluator_outage_variants():
     cbatch = count.evaluate(sels)
     np.testing.assert_array_equal(cbatch.raw, cbatch.served.astype(float))
     np.testing.assert_allclose(cbatch.total_sum, batch.user_rates.sum(axis=1))
+    # Every objective counts served users by the same rule as the oracle.
+    for kind in ObjectiveKind:
+        kbatch = SelectionEvaluator(cfg, h, kind).evaluate(sels)
+        for b, r in enumerate(kbatch.user_rates):
+            served, flags = served_stats(r, cfg.theta_dB)
+            assert kbatch.served[b] == served
+            assert kbatch.served_rates[b].tobytes() == np.where(flags, 0.0, r).tobytes()
 
 
 def test_evaluator_rejects_channel_shape_mismatch():
@@ -314,12 +321,9 @@ def test_member_scores_do_not_depend_on_the_batch(n, kind):
     for b in range(33):
         alone = ev.evaluate(sels[b])
         for name, (batch, row) in batches.items():
-            for field in ("raw", "weighted_base", "total_sum", "served", "user_rates"):
+            for field in ("raw", "weighted_base", "total_sum", "served", "served_rates", "user_rates"):
                 want, got = getattr(alone, field), getattr(batch, field)
-                if want is None:
-                    assert got is None
-                else:
-                    assert got[row[b]].tobytes() == want[0].tobytes(), (name, field, b)
+                assert got[row[b]].tobytes() == want[0].tobytes(), (name, field, b)
 
 
 class _TableEvaluator:
