@@ -141,6 +141,8 @@ class ExperimentConfig:
         for b in self.baselines:
             if b not in BASELINE_NAMES:
                 raise ConfigError(f"unknown baseline {b!r}; known: " + ", ".join(BASELINE_NAMES))
+        if len(set(self.baselines)) < len(self.baselines):
+            raise ConfigError("baselines lists a name more than once: " + ", ".join(self.baselines))
         if not 0.0 <= self.convergence_tol < 1.0:
             raise ConfigError(f"convergence_tol must be in [0, 1), got {self.convergence_tol}")
 

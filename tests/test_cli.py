@@ -174,6 +174,8 @@ def test_validate_command(tmp_path, capsys):
         assert "seed must fit in an unsigned 64-bit integer" in capsys.readouterr().out
     assert main(["validate", "--config", str(p), "--set", "objective=bogus"]) == 1
     assert "error: --set: " in capsys.readouterr().err
+    assert main(["validate", "--config", str(p), "--set", "baselines=random,random"]) == 1
+    assert "error: baselines lists a name more than once" in capsys.readouterr().err
 
 
 def test_validate_reports_each_sweep_point(tmp_path, capsys):

@@ -101,6 +101,8 @@ def test_experiment_config_validation():
         ExperimentConfig(base=base, sweep_key="k")
     with pytest.raises(ConfigError):
         ExperimentConfig(base=base, baselines=("greedy",))
+    with pytest.raises(ConfigError, match="more than once"):
+        ExperimentConfig(base=base, baselines=("random", "exhaustive", "random"))
     with pytest.raises(ConfigError):
         ExperimentConfig(base=base, convergence_tol=1.0)
 
