@@ -422,7 +422,10 @@ def write_result_files(result: ExperimentResult, out_dir) -> list[Path]:
         conv_rows.append((pt.sweep_value, pt.cfg.alpha, pt.avg_convergence_iteration,
                           pt.avg_convergence_iteration_no_delay))
         for name, score in sorted(pt.baseline_means.items()):
-            baseline_rows.append((pt.sweep_value, name, score, pt.evaluations_per_realization))
+            # Random search gets the genetic run's budget; exhaustive scores the whole space.
+            evaluations = (search_space_size(pt.cfg) if name == "exhaustive"
+                           else pt.evaluations_per_realization)
+            baseline_rows.append((pt.sweep_value, name, score, evaluations))
 
     files = [
         ("curve.csv", ["sweep_value", "K", "mean_weighted_throughput", "mean_raw_throughput",

@@ -303,10 +303,11 @@ def test_nu_percent_peaks_at_exactly_100():
     assert nu.min() >= 0.0
 
 
-def test_baseline_scores_bracket_the_search():
+def test_baseline_scores_bracket_the_search(tmp_path):
     base = _base(M=4, N=2, N_vec=8, N_it=25, alpha=0.0, realizations=6)
     ec = ExperimentConfig(base=base, baselines=("random", "exhaustive"))
-    pt = run_experiment(ec).points[0]
+    result = run_experiment(ec)
+    pt = result.points[0]
     assert set(pt.baseline_means) == {"random", "exhaustive"}
     assert pt.baseline_means["exhaustive"] >= pt.mean_final_throughput - 1e-12
     assert pt.baseline_means["random"] <= pt.baseline_means["exhaustive"] + 1e-12
@@ -316,6 +317,10 @@ def test_baseline_scores_bracket_the_search():
     assert np.all(pt.final_raws <= exhaustive) and np.all(pt.baseline_scores["random"] <= exhaustive)
     assert pt.baseline_means["random"] == float(np.mean(pt.baseline_scores["random"]))
     assert pt.evaluations_per_realization == base.L * base.N_it
+    # Random search spends the genetic run's budget; exhaustive scores all 8 * 7 selections.
+    write_result_files(result, tmp_path)
+    rows = (tmp_path / "baselines.csv").read_text().splitlines()[1:]
+    assert [r.split(",")[3] for r in rows] == ["56", str(base.L * base.N_it)]
 
 
 def test_aggregate_is_order_insensitive():
