@@ -291,7 +291,7 @@ def _oracle_check_row(ec, tolerance=1e-9) -> str:
     "M = 8\nN = 4\nN_vec = 16\nN_it = 30\ntheta_dB = 0\nobjective = outage_count\n"
     "realizations = 6\nseed = 5\nsweep = P_dB\nsweep_values = 0, 10\nbaselines = random\n",
 ])
-def test_oracle_check_matches_direct_loop(tmp_path, capsys, cfg):
+def test_oracle_check_matches_direct_loop(tmp_path, cfg):
     p = _write(tmp_path, cfg)
     want = _oracle_check_row(parse_config(p))
     reports = []
@@ -303,7 +303,6 @@ def test_oracle_check_matches_direct_loop(tmp_path, capsys, cfg):
         assert code == (0 if float(want.split(",")[2]) >= 0.95 else 1)
         reports.append(report)
     assert reports[0] == reports[1]
-    capsys.readouterr()
 
 
 def test_oracle_check_refuses_huge_space(tmp_path, capsys):
