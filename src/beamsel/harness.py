@@ -14,7 +14,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from itertools import repeat
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -27,6 +27,7 @@ from .search import (
     STREAM_LAYOUT,
     GaTrajectory,
     SelectionEvaluator,
+    delay_weighted,
     exhaustive_search,
     ga_run,
     random_search,
@@ -193,6 +194,7 @@ class RealizationOutcome:
     """Everything one realization contributes to the aggregates."""
 
     weighted_curve: np.ndarray   # (N_it,) delay-weighted score per iteration
+    weighted_bases: np.ndarray   # (N_it,) what (1 - alpha*K) multiplies; raw_curve itself for rate sums
     raw_curve: np.ndarray        # (N_it,)
     kstar: int                   # reported stopping iteration
     kstar_no_delay: int          # stopping iteration under alpha = 0
@@ -203,32 +205,43 @@ class RealizationOutcome:
     baseline_scores: dict[str, float]
 
 
-def _run_realization(ec: ExperimentConfig, cfg: SystemConfig, index: int) -> RealizationOutcome:
-    ev = SelectionEvaluator(cfg, realize_channel(cfg, index), ec.objective_kind)
-    traj = ga_run(ev, stream_rng(cfg.seed, index, STREAM_SEARCH))
-    weighted = traj.weighted_scores()
-    kstar = convergence_iteration(traj)
-    kstar0 = convergence_iteration(traj, alpha=0.0, tol=ec.convergence_tol)
-    at_kstar = ev.evaluate(traj.queens[kstar - 1])
-    baseline_scores: dict[str, float] = {}
-    if ec.baselines:
-        brng = stream_rng(cfg.seed, index, STREAM_BASELINE)
-        for name in ec.baselines:
-            if name == "random":
-                _, baseline_scores[name] = random_search(ev, cfg.L * cfg.N_it, brng)
-            else:
-                _, baseline_scores[name] = exhaustive_search(ev)
-    return RealizationOutcome(
-        weighted_curve=weighted,
-        raw_curve=traj.raw_scores,
-        kstar=kstar,
-        kstar_no_delay=kstar0,
-        final_weighted=float(weighted.max()),
-        final_raw=traj.final_raw,
-        served=int(at_kstar.served[0]),
-        user_rates_constrained=at_kstar.served_rates[0],
-        baseline_scores=baseline_scores,
-    )
+# Most realizations one _run_realization call advances in lockstep. It bounds
+# the block's arrays (gain tables, per-generation gathers, trajectories) the
+# way KEY_CHUNK_BYTES bounds its keys; no result depends on it.
+BLOCK_CAP = 64
+
+
+def _run_realization(ec: ExperimentConfig, cfg: SystemConfig, indices: Sequence[int]) -> list[RealizationOutcome]:
+    """Run the realizations `indices` of the point cfg as one lockstep block, in index order."""
+    evs = [SelectionEvaluator(cfg, realize_channel(cfg, i), ec.objective_kind) for i in indices]
+    trajs = ga_run(evs, [stream_rng(cfg.seed, i, STREAM_SEARCH) for i in indices])
+    outcomes = []
+    for index, ev, traj in zip(indices, evs, trajs):
+        weighted = traj.weighted_scores()
+        kstar = convergence_iteration(traj)
+        kstar0 = convergence_iteration(traj, alpha=0.0, tol=ec.convergence_tol)
+        at_kstar = ev.evaluate(traj.queens[kstar - 1])
+        baseline_scores: dict[str, float] = {}
+        if ec.baselines:
+            brng = stream_rng(cfg.seed, index, STREAM_BASELINE)
+            for name in ec.baselines:
+                if name == "random":
+                    _, baseline_scores[name] = random_search(ev, cfg.L * cfg.N_it, brng)
+                else:
+                    _, baseline_scores[name] = exhaustive_search(ev)
+        outcomes.append(RealizationOutcome(
+            weighted_curve=weighted,
+            weighted_bases=traj.weighted_bases,
+            raw_curve=traj.raw_scores,
+            kstar=kstar,
+            kstar_no_delay=kstar0,
+            final_weighted=float(weighted.max()),
+            final_raw=traj.final_raw,
+            served=int(at_kstar.served[0]),
+            user_rates_constrained=at_kstar.served_rates[0],
+            baseline_scores=baseline_scores,
+        ))
+    return outcomes
 
 
 @dataclass
@@ -239,8 +252,8 @@ class SweepPointResult:
     cfg: SystemConfig
     mean_weighted_curve: np.ndarray
     mean_raw_curve: np.ndarray
-    example_weighted_curve: np.ndarray   # realization 0, for single-run traces
-    example_raw_curve: np.ndarray
+    example_weighted_bases: np.ndarray   # realization 0, for single-run traces
+    example_raw_curve: np.ndarray        # the same array as the bases for rate-sum objectives
     final_throughputs: np.ndarray        # (R,) per-realization best weighted score
     final_raws: np.ndarray               # (R,) per-realization raw score of the last iteration
     convergence_iterations: np.ndarray   # (R,)
@@ -253,6 +266,11 @@ class SweepPointResult:
     @property
     def realizations(self) -> int:
         return self.final_throughputs.size
+
+    @property
+    def example_weighted_curve(self) -> np.ndarray:
+        """Realization 0's delay-weighted score per iteration."""
+        return delay_weighted(self.example_weighted_bases, self.cfg.alpha)
 
     @property
     def mean_final_throughput(self) -> float:
@@ -315,7 +333,7 @@ def _aggregate(sweep_value: float | None, cfg: SystemConfig,
         cfg=cfg,
         mean_weighted_curve=weighted.mean(axis=0),
         mean_raw_curve=raw.mean(axis=0),
-        example_weighted_curve=outcomes[0].weighted_curve,
+        example_weighted_bases=outcomes[0].weighted_bases,
         example_raw_curve=outcomes[0].raw_curve,
         final_throughputs=np.array([o.final_weighted for o in outcomes]),
         final_raws=np.array([o.final_raw for o in outcomes]),
@@ -349,13 +367,15 @@ def run_experiment(ec: ExperimentConfig, workers: int = 1) -> ExperimentResult:
             if violations:
                 result.errors.append(PointError(sweep_value, "invalid configuration: " + "; ".join(violations)))
                 continue
+            # One block per worker, unless that exceeds BLOCK_CAP realizations.
             n = cfg.realizations
+            size = min(BLOCK_CAP, -(-n // workers))
+            blocks = [range(start, min(start + size, n)) for start in range(0, n, size)]
             if pool is None:
-                outcomes = [_run_realization(ec, cfg, r) for r in range(n)]
+                parts = [_run_realization(ec, cfg, block) for block in blocks]
             else:
-                chunk = max(1, n // (workers * 4))
-                outcomes = list(pool.map(_run_realization, repeat(ec), repeat(cfg), range(n),
-                                         chunksize=chunk))
+                parts = pool.map(_run_realization, repeat(ec), repeat(cfg), blocks)
+            outcomes = [o for part in parts for o in part]
             result.points.append(_aggregate(sweep_value, cfg, outcomes, time.perf_counter() - t0))
     finally:
         if pool is not None:
@@ -409,11 +429,11 @@ def write_result_files(result: ExperimentResult, out_dir) -> list[Path]:
     baseline_rows = []
     for pt in result.points:
         nu = pt.nu_percent()
+        example = pt.example_weighted_curve
         for i in range(pt.mean_weighted_curve.size):
             curve_rows.append((pt.sweep_value, i + 1, pt.mean_weighted_curve[i],
                                pt.mean_raw_curve[i], nu[i]))
-            example_rows.append((pt.sweep_value, i + 1, pt.example_weighted_curve[i],
-                                 pt.example_raw_curve[i]))
+            example_rows.append((pt.sweep_value, i + 1, example[i], pt.example_raw_curve[i]))
         summary_rows.append((pt.sweep_value, pt.mean_final_throughput,
                              pt.avg_convergence_iteration, pt.empirical_outage_prob,
                              pt.avg_served_users, pt.evaluations_per_realization))

@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,18 +101,23 @@ class EvalBatch:
         return rank_best(self.kind, self.raw, self.user_rates)
 
 
-def rank_best(kind: ObjectiveKind, raw: np.ndarray, user_rates: np.ndarray) -> int:
+def rank_best(kind: ObjectiveKind, raw: np.ndarray, user_rates: np.ndarray) -> int | np.ndarray:
     """Index of the best of B scored members; ties resolve to the lowest index.
 
-    The count objective's raw score is the served count, and among the
-    members that serve the most users the highest sum rate wins; only those
-    members' (B, N) user_rates rows are summed. The other objectives rank by
-    raw score alone.
+    raw is (..., B) and user_rates (..., B, N); any leading axes are blocks
+    ranked independently, and the result has their shape (an int for a
+    single block). The count objective's raw score is the served count, and
+    among the members that serve the most users the highest sum rate wins;
+    only those members' user_rates rows are summed. The other objectives
+    rank by raw score alone.
     """
     if kind is ObjectiveKind.OUTAGE_COUNT:
-        tied = np.flatnonzero(raw == raw.max())
-        return int(tied[np.argmax(user_rates[tied].sum(axis=1))])
-    return int(np.argmax(raw))
+        tied = raw == raw.max(axis=-1, keepdims=True)
+        tie_break = np.full(raw.shape, -np.inf)
+        tie_break[tied] = user_rates[tied].sum(axis=-1)
+        raw = tie_break
+    best = np.argmax(raw, axis=-1)
+    return int(best) if best.ndim == 0 else best
 
 
 class SelectionEvaluator:
@@ -142,15 +148,26 @@ class SelectionEvaluator:
         sels = np.asarray(selections, dtype=np.int64)
         if sels.ndim == 1:
             sels = sels[None, :]
-        # gains[j, b, i] = power user i receives from member b's j-th beam.
-        # Slot-major, so the sum over beams adds contiguous (B, N) planes in
-        # slot order. np.take copies whole rows, several times faster than
-        # the equivalent fancy index.
-        gains = np.take(self._column_gains, sels.T, axis=0)
-        signal = np.einsum("ibi->bi", gains)
-        interference = gains.sum(axis=0) - signal
-        snr = sinr_from_components(signal, interference, self._p_over_m)
-        return EvalBatch(self.kind, rates(snr), self._min_rate)
+        return _score_rows(self._column_gains, sels, self._p_over_m, self.kind, self._min_rate)
+
+
+def _score_rows(column_gains: np.ndarray, rows: np.ndarray, p_over_m: float,
+                kind: ObjectiveKind, min_rate: float) -> EvalBatch:
+    """Score (B, N) rows of a gain table: the one gather, SINR and rate chain.
+
+    Row u of column_gains holds every user's power gain from column u; ga_run
+    passes several realizations' tables stacked, with each selection offset
+    to its own table's rows.
+    """
+    # gains[j, b, i] = power user i receives from member b's j-th beam.
+    # Slot-major, so the sum over beams adds contiguous (B, N) planes in slot
+    # order. np.take copies whole rows, several times faster than the
+    # equivalent fancy index.
+    gains = np.take(column_gains, rows.T, axis=0)
+    signal = np.einsum("ibi->bi", gains)
+    interference = gains.sum(axis=0) - signal
+    snr = sinr_from_components(signal, interference, p_over_m)
+    return EvalBatch(kind, rates(snr), min_rate)
 
 
 def _draw_selection(count: int, n: int, n_vec: int, rng: np.random.Generator) -> np.ndarray:
@@ -185,29 +202,38 @@ def rank_mutation_keys(keys: np.ndarray, cfg: SystemConfig) -> tuple[np.ndarray,
     return slots, picks
 
 
-def mutate(parent: np.ndarray, slots: np.ndarray, picks: np.ndarray, n_vec: int) -> np.ndarray:
-    """The (count, N) block of mutants of one 0-based selection from ranked keys.
+def mutate(parents: np.ndarray, slots: np.ndarray, picks: np.ndarray, n_vec: int) -> np.ndarray:
+    """The (R, count, N) mutants of R 0-based selections from ranked keys.
 
-    Child c replaces the slots slots[c] (see rank_mutation_keys). Slot i takes
-    the picks[c, i]-th column, in column order, that the parent does not use;
-    when fewer columns are unused than slots are replaced, the remaining slots
-    take the columns freed by the first ones, so every replaced slot still
-    changes. When the codebook has no spare columns (N == n_vec) a child swaps
-    its two slots instead.
+    Child c of parent r replaces the slots slots[r, c] (see
+    rank_mutation_keys). Slot i takes the picks[r, c, i]-th column, in column
+    order, that the parent does not use; when fewer columns are unused than
+    slots are replaced, the remaining slots take the columns freed by the
+    first ones, so every replaced slot still changes. When the codebook has
+    no spare columns (N == n_vec) a child swaps its two slots instead.
     """
-    parent = np.asarray(parent, dtype=np.int64)
-    count, k = slots.shape
-    if n_vec == parent.size:
-        new = parent[slots[:, ::-1]]  # the two slots trade columns
+    parents = np.asarray(parents, dtype=np.int64)
+    r, count, k = slots.shape
+    n = parents.shape[1]
+    lane = np.arange(r)[:, None, None]
+    if n_vec == n:
+        new = parents[lane, slots[..., ::-1]]  # the two slots trade columns
     else:
-        unused = np.ones(n_vec, dtype=bool)
-        unused[parent] = False
-        new = np.flatnonzero(unused)[picks]
-        if new.shape[1] < k:
-            new = np.concatenate([new, parent[slots[:, :k - new.shape[1]]]], axis=1)
-    children = np.repeat(parent[None, :], count, axis=0)
-    children[np.arange(count)[:, None], slots] = new
+        unused = np.ones((r, n_vec), dtype=bool)
+        unused[lane[:, :, 0], parents] = False
+        free = np.nonzero(unused)[1].reshape(r, n_vec - n)  # each row's unused columns, in order
+        new = free[lane, picks]
+        if new.shape[2] < k:
+            new = np.concatenate([new, parents[lane, slots[..., :k - new.shape[2]]]], axis=2)
+    children = np.repeat(parents[:, None, :], count, axis=1)
+    children[lane, np.arange(count)[:, None], slots] = new
     return children
+
+
+def delay_weighted(bases: np.ndarray, alpha: float) -> np.ndarray:
+    """(1 - alpha*K) * bases[K - 1] for K = 1..N_it: the delay-weighted curve."""
+    k = np.arange(1, bases.size + 1, dtype=np.float64)
+    return (1.0 - alpha * k) * bases
 
 
 @dataclass(frozen=True)
@@ -218,8 +244,10 @@ class GaTrajectory:
     raw_scores is the undiscounted objective scalar of that queen: sum rate,
     served-user rate sum, or served-user count depending on the objective.
     weighted_bases is the rate sum that the delay factor (1 - alpha*K)
-    multiplies; for the count objective this is the served-rate sum, recorded
-    for reporting even though the search ranks by count.
+    multiplies: the raw score itself, and the same array, for the rate-sum
+    objectives; the served-rate sum for the count objective, recorded for
+    reporting even though the search ranks by count. The arrays are
+    read-only.
     """
 
     queens: np.ndarray         # (N_it, N) int64, 0-based
@@ -233,57 +261,90 @@ class GaTrajectory:
 
     def weighted_scores(self, alpha: float | None = None) -> np.ndarray:
         """Delay-weighted score per iteration, optionally under a different alpha."""
-        a = self.alpha if alpha is None else alpha
-        k = np.arange(1, self.n_it + 1, dtype=np.float64)
-        return (1.0 - a * k) * self.weighted_bases
+        return delay_weighted(self.weighted_bases, self.alpha if alpha is None else alpha)
 
     @property
     def final_raw(self) -> float:
         return float(self.raw_scores[-1])
 
 
-def ga_run(ev: SelectionEvaluator, rng: np.random.Generator) -> GaTrajectory:
-    """Run the elitist genetic search on the evaluator's channel realization.
+def _owned(column: np.ndarray) -> np.ndarray:
+    """A read-only copy of one realization's column of a block array, holding no reference to the block."""
+    out = column.copy()
+    out.flags.writeable = False
+    return out
 
-    Each generation scores all L members, crowns the best as Queen (ties go to
-    the lowest population index), then builds the next generation from the
+
+def ga_run(evaluators: Sequence[SelectionEvaluator],
+           rngs: Sequence[np.random.Generator]) -> list[GaTrajectory]:
+    """Run the elitist genetic search on a block of realizations in lockstep.
+
+    evaluators[r] holds realization r's channel and rngs[r] its search
+    stream; every evaluator must share one config and objective. Each
+    generation scores all L members, crowns the best as Queen (ties go to the
+    lowest population index), then builds the next generation from the
     Queen, S of her mutants, and fresh uniform selections. Elitism makes the
-    raw score non-decreasing across iterations. The keys of as many
-    generations as fit in KEY_CHUNK_BYTES are drawn and ranked at once, which
-    changes no selection (see STREAM_LAYOUT).
+    raw score non-decreasing across iterations. The block advances together:
+    one gather scores every realization's members, and the keys of as many
+    generations as fit in KEY_CHUNK_BYTES, counted over the block, are drawn
+    from each stream and ranked at once. Neither changes a selection (see
+    STREAM_LAYOUT), so a realization's trajectory does not depend on the
+    block around it.
     """
-    cfg = ev.cfg
-    n, n_vec, s = cfg.N, cfg.N_vec, cfg.S
-    pop = init_population(cfg, rng)
-    queens = np.empty((cfg.N_it, n), dtype=np.int64)
-    raw = np.empty(cfg.N_it, dtype=np.float64)
-    base = np.empty(cfg.N_it, dtype=np.float64)
+    if not evaluators or len(evaluators) != len(rngs):
+        raise ValueError(f"ga_run needs one stream per evaluator, got {len(evaluators)} "
+                         f"evaluators and {len(rngs)} streams")
+    ev0 = evaluators[0]
+    cfg, kind = ev0.cfg, ev0.kind
+    if any(ev.cfg != cfg or ev.kind is not kind for ev in evaluators):
+        raise ValueError("ga_run needs evaluators that share one config and one objective")
+    r, n, n_vec, s = len(evaluators), cfg.N, cfg.N_vec, cfg.S
+    # Realization i's members index rows i*N_vec.. of the stacked gain tables.
+    table = np.concatenate([ev._column_gains for ev in evaluators])
+    offsets = (np.arange(r) * n_vec)[:, None, None]
+    lanes = np.arange(r)
+    pop = np.stack([init_population(cfg, rng) for rng in rngs])  # (R, L, N)
+    queens = np.empty((cfg.N_it, r, n), dtype=np.int64)
+    raw = np.empty((cfg.N_it, r), dtype=np.float64)
+    counting = kind is ObjectiveKind.OUTAGE_COUNT
+    queen_rates = np.empty((cfg.N_it, r, n)) if counting else None
     # Each later generation takes a fixed run of keys: N_vec per mutant (none
     # when N_vec == 1, whose one selection has no mutants to rank), then N_vec
-    # per fresh member. A block of generations is drawn and ranked at once.
+    # per fresh member. A chunk of generations is drawn and ranked at once.
     width = n_vec if n_vec > 1 else 0
     per_gen = s * width + (cfg.L - s - 1) * n_vec
-    span = max(1, KEY_CHUNK_BYTES // (8 * per_gen))
-    keys = np.empty((min(span, cfg.N_it - 1), per_gen))
+    span = max(1, KEY_CHUNK_BYTES // (8 * per_gen * r))
+    keys = np.empty((r, min(span, cfg.N_it - 1), per_gen))
     for it in range(cfg.N_it):
-        batch = ev.evaluate(pop)
-        b = batch.best_index()
-        queens[it] = pop[b]
-        raw[it] = batch.raw[b]
-        base[it] = batch.weighted_base[b]
+        batch = _score_rows(table, (pop + offsets).reshape(-1, n), ev0._p_over_m, kind, ev0._min_rate)
+        best = rank_best(kind, batch.raw.reshape(r, -1), batch.user_rates.reshape(r, -1, n))
+        rows = lanes * cfg.L + best
+        queens[it] = pop[lanes, best]
+        raw[it] = batch.raw[rows]
+        if counting:
+            queen_rates[it] = batch.user_rates[rows]
         if it + 1 == cfg.N_it:
             break
         j = it % span
         if j == 0:
-            block = rng.random(out=keys[:min(span, cfg.N_it - 1 - it)])
-            g = block.shape[0]
-            slots, picks = rank_mutation_keys(block[:, :s * width].reshape(g, s, width), cfg)
-            fresh = block[:, s * width:].reshape(g, -1, n_vec).argsort(axis=-1)[..., :n]
-        pop = np.empty_like(pop)
-        pop[0] = queens[it]
-        pop[1:s + 1] = mutate(queens[it], slots[j], picks[j], n_vec)
-        pop[s + 1:] = fresh[j]
-    return GaTrajectory(queens=queens, raw_scores=raw, weighted_bases=base, alpha=cfg.alpha)
+            g = min(span, cfg.N_it - 1 - it)
+            for rng, lane_keys in zip(rngs, keys):
+                rng.random(out=lane_keys[:g])
+            chunk = keys[:, :g]
+            slots, picks = rank_mutation_keys(chunk[..., :s * width].reshape(r, g, s, width), cfg)
+            fresh = chunk[..., s * width:].reshape(r, g, -1, n_vec).argsort(axis=-1)[..., :n]
+        pop[:, 0] = queens[it]
+        pop[:, 1:s + 1] = mutate(queens[it], slots[:, j], picks[:, j], n_vec)
+        pop[:, s + 1:] = fresh[:, j]
+    if counting:
+        bases = EvalBatch(kind, queen_rates.reshape(-1, n), ev0._min_rate).weighted_base.reshape(cfg.N_it, r)
+    trajs = []
+    for i in range(r):
+        raw_i = _owned(raw[:, i])
+        trajs.append(GaTrajectory(queens=_owned(queens[:, i]), raw_scores=raw_i,
+                                  weighted_bases=_owned(bases[:, i]) if counting else raw_i,
+                                  alpha=cfg.alpha))
+    return trajs
 
 
 def search_space_size(cfg: SystemConfig) -> int:
@@ -296,14 +357,14 @@ def _best_of_chunks(ev: SelectionEvaluator, chunks) -> tuple[np.ndarray, float]:
 
     rank_best picks each chunk's winner and then the best of the winners,
     whose rates rows it reads, so ties resolve to the earliest member
-    whatever the chunk size. The winners' rows are copied, so no chunk's
-    arrays outlive it.
+    whatever the chunk size. The winners' rows are copied as int64, so no
+    chunk's arrays outlive it.
     """
     rows, raw, user_rates = [], [], []
     for arr in chunks:
         batch = ev.evaluate(arr)
         i = batch.best_index()
-        rows.append(arr[i].copy())
+        rows.append(arr[i].astype(np.int64))
         raw.append(batch.raw[i])
         user_rates.append(batch.user_rates[i].copy())
     w = rank_best(ev.kind, np.array(raw), np.array(user_rates))
@@ -312,16 +373,18 @@ def _best_of_chunks(ev: SelectionEvaluator, chunks) -> tuple[np.ndarray, float]:
 
 @functools.lru_cache(maxsize=1)
 def _ordered_selections(n_vec: int, n: int) -> np.ndarray:
-    """Read-only int64 table of every ordered selection, in itertools.permutations order.
+    """Read-only int32 table of every ordered selection, in itertools.permutations order.
 
     Row r is the r-th selection, but the table is stored slot-major (Fortran
     order), so a block of rows transposes into the contiguous (N, B) index
-    that evaluate gathers with. Only the latest shape is cached, so at
-    EXHAUSTIVE_CAP the table holds at most 32.3 MiB (N_vec=10, N=7).
+    that evaluate gathers with. Every index is below N_vec, and
+    N_vec <= perm(N_vec, N) <= EXHAUSTIVE_CAP, so int32 holds them all. Only
+    the latest shape is cached, so at EXHAUSTIVE_CAP the table holds at most
+    16.2 MiB (N_vec=10, N=7).
     """
     perms = itertools.chain.from_iterable(itertools.permutations(range(n_vec), n))
     table = np.asfortranarray(
-        np.fromiter(perms, dtype=np.int64, count=math.perm(n_vec, n) * n).reshape(-1, n))
+        np.fromiter(perms, dtype=np.int32, count=math.perm(n_vec, n) * n).reshape(-1, n))
     table.flags.writeable = False
     return table
 

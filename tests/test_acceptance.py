@@ -51,10 +51,8 @@ def convergence_trajectories():
     cfg = SystemConfig(M=32, N=8, N_vec=128, k=0.0, P_dB=10.0, alpha=0.001,
                        N_it=500, seed=SEED)
     t0 = time.perf_counter()
-    trajs = []
-    for r in range(200):
-        ev = SelectionEvaluator(cfg, realize_channel(cfg, r))
-        trajs.append(ga_run(ev, stream_rng(SEED, r, STREAM_SEARCH)))
+    trajs = ga_run([SelectionEvaluator(cfg, realize_channel(cfg, r)) for r in range(200)],
+                   [stream_rng(SEED, r, STREAM_SEARCH) for r in range(200)])
     return trajs, time.perf_counter() - t0
 
 
@@ -64,10 +62,10 @@ def test_c01_oracle_equivalence():
     t0 = time.perf_counter()
     attained = 0
     gaps = []
-    for r in range(200):
-        ev = SelectionEvaluator(cfg, realize_channel(cfg, r))
+    evs = [SelectionEvaluator(cfg, realize_channel(cfg, r)) for r in range(200)]
+    trajs = ga_run(evs, [stream_rng(SEED, r, STREAM_SEARCH) for r in range(200)])
+    for ev, traj in zip(evs, trajs):
         _, opt = exhaustive_search(ev)
-        traj = ga_run(ev, stream_rng(SEED, r, STREAM_SEARCH))
         if abs(traj.final_raw - opt) <= 1e-9 * max(1.0, abs(opt)):
             attained += 1
         gaps.append(max(0.0, opt - traj.final_raw) / abs(opt))
@@ -218,11 +216,10 @@ def test_c10_invariant_suite():
     checks = []
 
     # elitism: best score never decreases
-    mono = True
-    for r in range(15):
-        cfg = SystemConfig(M=16, N=4, N_vec=32, N_it=40, seed=SEED)
-        traj = ga_run(SelectionEvaluator(cfg, realize_channel(cfg, r)), stream_rng(SEED, r, STREAM_SEARCH))
-        mono &= bool(np.all(np.diff(traj.raw_scores) >= 0))
+    cfg = SystemConfig(M=16, N=4, N_vec=32, N_it=40, seed=SEED)
+    trajs = ga_run([SelectionEvaluator(cfg, realize_channel(cfg, r)) for r in range(15)],
+                   [stream_rng(SEED, r, STREAM_SEARCH) for r in range(15)])
+    mono = all(bool(np.all(np.diff(traj.raw_scores) >= 0)) for traj in trajs)
     checks.append((mono, "elitism keeps best score non-decreasing (15 runs)"))
 
     # 1e5 mutations keep selections valid
@@ -232,7 +229,8 @@ def test_c10_invariant_suite():
         cfg = SystemConfig(M=m, N=n, N_vec=n_vec)
         parent = np.sort(rng.choice(n_vec, size=n, replace=False)).astype(np.int64)
         for _ in range(250):
-            children = mutate(parent, *rank_mutation_keys(rng.random((100, n_vec)), cfg), n_vec)
+            slots, picks = rank_mutation_keys(rng.random((1, 100, n_vec)), cfg)
+            children = mutate(parent[None, :], slots, picks, n_vec)[0]
             ordered = np.sort(children, axis=1)
             if (np.any(ordered[:, 1:] == ordered[:, :-1])
                     or children.min() < 0 or children.max() >= n_vec):

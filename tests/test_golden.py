@@ -22,7 +22,7 @@ import pytest
 from beamsel.channel import STREAM_SEARCH, realize_channel, stream_rng
 from beamsel.cli import main as cli_main
 from beamsel.core import SystemConfig
-from beamsel import search
+from beamsel import harness, search
 from beamsel.search import SelectionEvaluator, ga_run
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -140,29 +140,33 @@ GA_GOLDEN = {
 }
 
 
-def ga_digest(shape: str) -> str:
-    """SHA-256 of the queens, raw scores and weighted bases of three ga_run calls.
+GA_REALIZATIONS = 3
 
-    The queens are hashed 1-based (queens + 1), the convention they were
-    stored in when GA_GOLDEN was recorded, so the digests stay comparable.
+
+def ga_digest(shape: str) -> str:
+    """SHA-256 of the queens, raw scores and weighted bases of GA_REALIZATIONS runs.
+
+    The runs advance as one ga_run block. The queens are hashed 1-based
+    (queens + 1), the convention they were stored in when GA_GOLDEN was
+    recorded, so the digests stay comparable.
     """
     cfg = SystemConfig(**GA_SHAPES[shape], N_it=30, L=10, S=5, P_dB=10.0, seed=2024)
+    trajs = ga_run([SelectionEvaluator(cfg, realize_channel(cfg, r)) for r in range(GA_REALIZATIONS)],
+                   [stream_rng(cfg.seed, r, STREAM_SEARCH) for r in range(GA_REALIZATIONS)])
     digest = hashlib.sha256()
-    for r in range(3):
-        traj = ga_run(SelectionEvaluator(cfg, realize_channel(cfg, r)),
-                      stream_rng(cfg.seed, r, STREAM_SEARCH))
+    for traj in trajs:
         for arr in (traj.queens + 1, traj.raw_scores, traj.weighted_bases):
             digest.update(arr.tobytes())
     return digest.hexdigest()
 
 
-def _key_chunk_bytes(generations: int, n_vec: int) -> int:
-    """The KEY_CHUNK_BYTES at which ga_run draws `generations` generations' keys at once.
+def _key_chunk_bytes(generations: int, n_vec: int, block: int = GA_REALIZATIONS) -> int:
+    """The KEY_CHUNK_BYTES at which a ga_run block draws `generations` generations' keys at once.
 
     With L = 10 and N_vec > 1, as in every case here, each later generation
-    takes (L - 1) * N_vec keys of 8 bytes.
+    takes (L - 1) * N_vec keys of 8 bytes from each of the block's streams.
     """
-    return generations * 8 * 9 * n_vec
+    return generations * 8 * 9 * n_vec * block
 
 
 def _command(cfg_path: Path) -> str:
@@ -208,17 +212,51 @@ def test_ga_run_matches_golden_digest(shape):
     assert ga_digest(shape) == GA_GOLDEN[shape]
 
 
+@pytest.mark.parametrize("shape", [*sorted(GA_SHAPES), "single_column"])
+def test_ga_block_matches_blocks_of_one(shape):
+    # Every field of every realization has the same bits whether it runs in a
+    # block of several or alone; N_vec == 1 draws no mutation keys at all.
+    cfg = SystemConfig(**GA_SHAPES.get(shape, dict(M=1, N=1, N_vec=1)), N_it=30, L=10, S=5,
+                       P_dB=10.0, seed=2024)
+    evs = [SelectionEvaluator(cfg, realize_channel(cfg, r)) for r in range(4)]
+    block = ga_run(evs, [stream_rng(cfg.seed, r, STREAM_SEARCH) for r in range(4)])
+    for r, traj in enumerate(block):
+        (alone,) = ga_run([evs[r]], [stream_rng(cfg.seed, r, STREAM_SEARCH)])
+        for field in ("queens", "raw_scores", "weighted_bases"):
+            assert getattr(traj, field).tobytes() == getattr(alone, field).tobytes(), (r, field)
+
+
 @pytest.mark.parametrize("generations", [1, 7])
 def test_digests_hold_across_key_chunk_boundaries(generations, monkeypatch, tmp_path):
     # ga_run draws the keys of up to KEY_CHUNK_BYTES of generations at a time,
-    # and every run above fits in one such chunk. Chunks of 1 and 7
-    # generations cross many boundaries, and 7 leaves a partial last chunk.
+    # summed over its block, and every run above fits in one such chunk.
+    # Chunks of 1 and 7 generations cross many boundaries, and 7 leaves a
+    # partial last chunk. The recipe runs its 3 realizations as one block.
     for shape in sorted(GA_GOLDEN):
         monkeypatch.setattr(search, "KEY_CHUNK_BYTES", _key_chunk_bytes(generations, GA_SHAPES[shape]["N_vec"]))
         assert ga_digest(shape) == GA_GOLDEN[shape]
     monkeypatch.setattr(search, "KEY_CHUNK_BYTES", _key_chunk_bytes(generations, 16))
     got = recipe_digests(CONFIG_DIR / "served_users.cfg", tmp_path, COUNT_BASELINE_OVERRIDES)
     assert got == COUNT_BASELINE_GOLDEN
+
+
+@pytest.mark.parametrize("recipe,extra", [
+    ("power_sweep.cfg", ()),
+    ("served_users.cfg", COUNT_BASELINE_OVERRIDES),
+], ids=["throughput", "count_baselines"])
+def test_csvs_do_not_depend_on_block_size_or_workers(recipe, extra, monkeypatch, tmp_path):
+    # run_experiment splits a point's realizations into lockstep blocks, one
+    # per worker unless harness.BLOCK_CAP binds. Caps of 1, 7 (a partial last
+    # block on one worker) and all 10, on 1 and 2 workers, must write the
+    # same bytes.
+    extra = (*extra, "--set", "realizations=10")
+    digests = {}
+    for cap in (1, 7, 10):
+        monkeypatch.setattr(harness, "BLOCK_CAP", cap)
+        for workers in ("1", "2"):
+            out = tmp_path / f"cap{cap}-w{workers}"
+            digests[cap, workers] = recipe_digests(CONFIG_DIR / recipe, out, (*extra, "--workers", workers))
+    assert all(d == digests[1, "1"] for d in digests.values()), digests
 
 
 if __name__ == "__main__":

@@ -130,9 +130,10 @@ def test_point_search_uses_point_threshold_and_alpha():
                               sweep_key="theta_dB", sweep_values=(-3.0, 6.0))
         served = []
         for _, cfg in ec.points():
-            outcome = _run_realization(ec, cfg, 0)
+            (outcome,) = _run_realization(ec, cfg, [0])
             ev = SelectionEvaluator(cfg, realize_channel(cfg, 0), kind)
-            queen = ga_run(ev, stream_rng(cfg.seed, 0, STREAM_SEARCH)).queens[outcome.kstar - 1]
+            (traj,) = ga_run([ev], [stream_rng(cfg.seed, 0, STREAM_SEARCH)])
+            queen = traj.queens[outcome.kstar - 1]
             r = ev.evaluate(queen).user_rates[0]
             count, flags = served_stats(r, cfg.theta_dB)
             assert outcome.served == count
@@ -144,7 +145,7 @@ def test_point_search_uses_point_threshold_and_alpha():
     # Under the rate-sum objective the weighted curve is (1 - alpha*K) times the raw one.
     ec = ExperimentConfig(base=_base(realizations=1), sweep_key="alpha", sweep_values=(0.0, 0.01))
     for _, cfg in ec.points():
-        outcome = _run_realization(ec, cfg, 0)
+        (outcome,) = _run_realization(ec, cfg, [0])
         k = np.arange(1, cfg.N_it + 1)
         np.testing.assert_array_equal(outcome.weighted_curve, (1.0 - cfg.alpha * k) * outcome.raw_curve)
 
@@ -326,7 +327,7 @@ def test_baseline_scores_bracket_the_search(tmp_path):
 def test_aggregate_is_order_insensitive():
     cfg = _base(N_it=15, realizations=3)
     ec = ExperimentConfig(base=cfg)
-    outcomes = [_run_realization(ec, cfg, r) for r in range(3)]
+    outcomes = _run_realization(ec, cfg, range(3))
     fwd = _aggregate(None, cfg, outcomes, 0.0)
     rev = _aggregate(None, cfg, list(reversed(outcomes)), 0.0)
     np.testing.assert_allclose(fwd.mean_weighted_curve, rev.mean_weighted_curve, rtol=1e-12)
@@ -340,6 +341,7 @@ def test_single_realization_degenerate_aggregates():
     pt = run_experiment(ec).points[0]
     assert pt.realizations == 1
     np.testing.assert_array_equal(pt.mean_weighted_curve, pt.example_weighted_curve)
+    assert pt.example_weighted_bases is pt.example_raw_curve  # a rate sum's curve is stored once
     assert np.isfinite(pt.mean_final_throughput)
     assert pt.rate_samples.shape == (pt.cfg.N,)
 

@@ -104,7 +104,14 @@ def test_draw_selection_covers_every_ordered_pair_uniformly():
 
 def _mutants(parent, count, cfg, rng):
     """count mutants of parent from count rows of N_vec keys, ranked as ga_run ranks them."""
-    return mutate(parent, *rank_mutation_keys(rng.random((count, cfg.N_vec)), cfg), cfg.N_vec)
+    slots, picks = rank_mutation_keys(rng.random((1, count, cfg.N_vec)), cfg)
+    return mutate(np.asarray(parent)[None, :], slots, picks, cfg.N_vec)[0]
+
+
+def _ga(ev, rng):
+    """One realization's trajectory: a ga_run block of one."""
+    (traj,) = ga_run([ev], [rng])
+    return traj
 
 
 def _changed_slots(children, parent):
@@ -224,6 +231,25 @@ def test_mutate_stays_valid_across_random_shapes():
         _assert_valid(children, cfg.N_vec)
 
 
+def test_mutate_block_matches_one_parent_at_a_time():
+    # The block axis assembles each parent's mutants from its own keys alone,
+    # in every mutation shape: one slot, every slot with few spare columns,
+    # the full-codebook swap and the single-column copy.
+    for shape in (dict(M=8, N=4, N_vec=16), dict(M=8, N=6, N_vec=8, mutation_fraction=1.0),
+                  dict(M=6, N=6, N_vec=6), dict(M=1, N=1, N_vec=1)):
+        cfg = _cfg(**shape)
+        rng = np.random.default_rng(31)
+        parents = np.stack([rng.permutation(cfg.N_vec)[:cfg.N] for _ in range(5)])
+        width = cfg.N_vec if cfg.N_vec > 1 else 0
+        slots, picks = rank_mutation_keys(rng.random((5, 7, width)), cfg)
+        block = mutate(parents, slots, picks, cfg.N_vec)
+        assert block.shape == (5, 7, cfg.N)
+        for r in range(5):
+            alone = mutate(parents[r:r + 1], slots[r:r + 1], picks[r:r + 1], cfg.N_vec)
+            np.testing.assert_array_equal(block[r], alone[0])
+            _assert_valid(block[r], cfg.N_vec)
+
+
 def test_evaluator_matches_reference_op_chain():
     cfg = _cfg(M=8, N=4, N_vec=16, P_dB=10.0)
     h = _channel(cfg)
@@ -295,10 +321,17 @@ def test_rank_best_matches_lexicographic_oracle(members):
     served, total = (list(col) for col in zip(*members))
     raw = np.array(served, dtype=np.float64)
     user_rates = np.array(total, dtype=np.float64)[:, None]  # one user, whose rate is the sum
-    assert rank_best(ObjectiveKind.OUTAGE_COUNT, raw, user_rates) == lexicographic_best(served, total)
+    want = lexicographic_best(served, total)
+    assert rank_best(ObjectiveKind.OUTAGE_COUNT, raw, user_rates) == want
     first_max = served.index(max(served))
     assert rank_best(ObjectiveKind.THROUGHPUT, raw, user_rates) == first_max
     assert rank_best(ObjectiveKind.OUTAGE_THROUGHPUT, raw, user_rates) == first_max
+    # A leading block axis ranks each block alone: here the members and
+    # their reversal, whose winner is the last of the tied rows.
+    rev = served[::-1], total[::-1]
+    blocks = np.stack([raw, raw[::-1]]), np.stack([user_rates, user_rates[::-1]])
+    assert rank_best(ObjectiveKind.OUTAGE_COUNT, *blocks).tolist() == [want, lexicographic_best(*rev)]
+    assert rank_best(ObjectiveKind.THROUGHPUT, *blocks).tolist() == [first_max, rev[0].index(max(served))]
 
 
 @pytest.mark.parametrize("kind", list(ObjectiveKind))
@@ -362,7 +395,7 @@ def test_count_ranking_matches_lexicographic_oracle(rows, chunk):
 def test_ga_scores_never_decrease():
     cfg = _cfg(M=16, N=4, N_vec=32, N_it=60)
     h = _channel(cfg)
-    traj = ga_run(SelectionEvaluator(cfg, h), stream_rng(cfg.seed, 0, STREAM_SEARCH))
+    traj = _ga(SelectionEvaluator(cfg, h), stream_rng(cfg.seed, 0, STREAM_SEARCH))
     assert traj.n_it == 60
     assert np.all(np.diff(traj.raw_scores) >= 0.0)
 
@@ -370,8 +403,8 @@ def test_ga_scores_never_decrease():
 def test_ga_deterministic_given_stream():
     cfg = _cfg(M=8, N=2, N_vec=16, N_it=25)
     h = _channel(cfg)
-    a = ga_run(SelectionEvaluator(cfg, h), stream_rng(9, 3, STREAM_SEARCH))
-    b = ga_run(SelectionEvaluator(cfg, h), stream_rng(9, 3, STREAM_SEARCH))
+    a = _ga(SelectionEvaluator(cfg, h), stream_rng(9, 3, STREAM_SEARCH))
+    b = _ga(SelectionEvaluator(cfg, h), stream_rng(9, 3, STREAM_SEARCH))
     np.testing.assert_array_equal(a.queens, b.queens)
     np.testing.assert_array_equal(a.raw_scores, b.raw_scores)
 
@@ -381,8 +414,8 @@ def test_ga_trajectory_independent_of_alpha():
     # the undiscounted score, so alpha must not steer it.
     cfg = _cfg(M=8, N=2, N_vec=16, N_it=30, alpha=0.001)
     h = _channel(cfg)
-    slow = ga_run(SelectionEvaluator(replace(cfg, alpha=0.0), h), stream_rng(5, 0, STREAM_SEARCH))
-    fast = ga_run(SelectionEvaluator(cfg, h), stream_rng(5, 0, STREAM_SEARCH))
+    slow = _ga(SelectionEvaluator(replace(cfg, alpha=0.0), h), stream_rng(5, 0, STREAM_SEARCH))
+    fast = _ga(SelectionEvaluator(cfg, h), stream_rng(5, 0, STREAM_SEARCH))
     np.testing.assert_array_equal(slow.queens, fast.queens)
     np.testing.assert_array_equal(slow.raw_scores, fast.raw_scores)
     np.testing.assert_allclose(slow.weighted_scores(0.001), fast.weighted_scores(), rtol=1e-15)
@@ -392,7 +425,7 @@ def test_ga_trajectory_accounting():
     cfg = _cfg(M=8, N=2, N_vec=16, N_it=20, L=10)
     h = _channel(cfg)
     ev = SelectionEvaluator(cfg, h)
-    traj = ga_run(ev, stream_rng(1, 0, STREAM_SEARCH))
+    traj = _ga(ev, stream_rng(1, 0, STREAM_SEARCH))
     assert traj.queens.shape == (20, 2) and traj.queens.dtype == np.int64
     # every queen is a valid 0-based selection: distinct columns in [0, N_vec)
     assert all(len(set(q.tolist())) == 2 for q in traj.queens)
@@ -404,7 +437,7 @@ def test_ga_trajectory_accounting():
 def test_ga_weighted_scores_match_raw_for_zero_alpha():
     cfg = _cfg(M=8, N=2, N_vec=16, N_it=15)
     h = _channel(cfg)
-    traj = ga_run(SelectionEvaluator(cfg, h), stream_rng(2, 0, STREAM_SEARCH))
+    traj = _ga(SelectionEvaluator(cfg, h), stream_rng(2, 0, STREAM_SEARCH))
     np.testing.assert_allclose(traj.weighted_scores(0.0), traj.raw_scores, rtol=1e-15)
 
 
@@ -419,15 +452,45 @@ def test_ga_run_draws_a_fixed_number_of_keys(shape):
     # ga_run draws many generations' keys before it knows their queens, which
     # is only sound because every generation takes the same number of keys,
     # whatever the channel: L * N_vec for the first population, then N_vec
-    # per mutant (none when N_vec == 1) and per fresh member.
+    # per mutant (none when N_vec == 1) and per fresh member. A block of two
+    # realizations takes that many from each one's stream.
     cfg = _cfg(**{"N_it": 40, **shape})
     per_gen = cfg.L - 1 if cfg.N_vec > 1 else cfg.L - cfg.S - 1
     expected = np.random.default_rng(17)
     expected.random(cfg.L * cfg.N_vec + (cfg.N_it - 1) * per_gen * cfg.N_vec)
-    for r in (0, 1):
-        rng = np.random.default_rng(17)
-        ga_run(SelectionEvaluator(cfg, _channel(cfg, r)), rng)
+    rngs = [np.random.default_rng(17), np.random.default_rng(17)]
+    ga_run([SelectionEvaluator(cfg, _channel(cfg, r)) for r in (0, 1)], rngs)
+    for rng in rngs:
         assert rng.bit_generator.state == expected.bit_generator.state
+
+
+@pytest.mark.parametrize("kind", list(ObjectiveKind))
+def test_ga_trajectories_own_read_only_rows(kind):
+    # A trajectory must not keep its block alive, and a rate-sum objective's
+    # weighted bases are its raw scores, stored once.
+    cfg = _cfg(N_it=12, theta_dB=0.0)
+    trajs = ga_run([SelectionEvaluator(cfg, _channel(cfg, r), kind) for r in range(3)],
+                   [np.random.default_rng(r) for r in range(3)])
+    for traj in trajs:
+        for arr in (traj.queens, traj.raw_scores, traj.weighted_bases):
+            assert arr.base is None and arr.flags.c_contiguous and not arr.flags.writeable
+        assert (traj.weighted_bases is traj.raw_scores) == (kind is not ObjectiveKind.OUTAGE_COUNT)
+
+
+def test_ga_run_needs_one_config_objective_and_stream_per_evaluator():
+    cfg = _cfg(N_it=5)
+    ev = SelectionEvaluator(cfg, _channel(cfg))
+    others = [
+        SelectionEvaluator(replace(cfg, P_dB=cfg.P_dB + 1.0), _channel(cfg)),
+        SelectionEvaluator(cfg, _channel(cfg), ObjectiveKind.OUTAGE_COUNT),
+    ]
+    for other in others:
+        with pytest.raises(ValueError, match="one config and one objective"):
+            ga_run([ev, other], [np.random.default_rng(0), np.random.default_rng(1)])
+    with pytest.raises(ValueError, match="one stream per evaluator"):
+        ga_run([ev, ev], [np.random.default_rng(0)])
+    with pytest.raises(ValueError, match="one stream per evaluator"):
+        ga_run([], [])
 
 
 def test_search_space_size():
@@ -463,7 +526,7 @@ def test_exhaustive_tie_breaks_to_first_enumerated():
 def test_ordered_selections_table_is_the_permutation_order(n_vec, n):
     table = _ordered_selections(n_vec, n)
     assert table.tolist() == [list(p) for p in itertools.permutations(range(n_vec), n)]
-    assert table.dtype == np.int64
+    assert table.dtype == np.int32
     assert not table.flags.writeable
     with pytest.raises(ValueError):
         table[0, 0] = 1
@@ -559,7 +622,7 @@ def test_ga_attains_small_instance_optimum_most_of_the_time():
     for r in range(trials):
         ev = SelectionEvaluator(cfg, realize_channel(cfg, r))
         _, opt = exhaustive_search(ev)
-        traj = ga_run(ev, stream_rng(cfg.seed, r, STREAM_SEARCH))
+        traj = _ga(ev, stream_rng(cfg.seed, r, STREAM_SEARCH))
         assert traj.final_raw <= opt + 1e-9  # can never beat the true optimum
         if traj.final_raw >= opt - 1e-9:
             hits += 1
@@ -572,7 +635,7 @@ def test_ga_beats_matched_budget_random_search_on_average():
     rs_scores = []
     for r in range(40):
         ev = SelectionEvaluator(cfg, realize_channel(cfg, r))
-        traj = ga_run(ev, stream_rng(cfg.seed, r, STREAM_SEARCH))
+        traj = _ga(ev, stream_rng(cfg.seed, r, STREAM_SEARCH))
         _, found = random_search(ev, cfg.L * cfg.N_it, stream_rng(cfg.seed, r, 2))
         ga_scores.append(traj.final_raw)
         rs_scores.append(found)
@@ -588,8 +651,8 @@ def test_count_objective_serves_at_least_as_many_users():
     for r in range(40):
         h = realize_channel(cfg, r)
         ev = SelectionEvaluator(cfg, h, ObjectiveKind.OUTAGE_COUNT)
-        t_count = ga_run(ev, stream_rng(cfg.seed, r, STREAM_SEARCH))
-        t_thr = ga_run(SelectionEvaluator(cfg, h), stream_rng(cfg.seed, r, STREAM_SEARCH))
+        t_count = _ga(ev, stream_rng(cfg.seed, r, STREAM_SEARCH))
+        t_thr = _ga(SelectionEvaluator(cfg, h), stream_rng(cfg.seed, r, STREAM_SEARCH))
         served_count.append(t_count.raw_scores[-1])
         served_thr.append(int(ev.evaluate(t_thr.queens[-1]).served[0]))
     assert np.mean(served_count) >= np.mean(served_thr)
