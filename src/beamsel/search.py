@@ -220,7 +220,7 @@ def mutate(parents: np.ndarray, slots: np.ndarray, picks: np.ndarray, n_vec: int
         new = parents[lane, slots[..., ::-1]]  # the two slots trade columns
     else:
         unused = np.ones((r, n_vec), dtype=bool)
-        unused[lane[:, :, 0], parents] = False
+        unused[lane[:, 0], parents] = False
         free = np.nonzero(unused)[1].reshape(r, n_vec - n)  # each row's unused columns, in order
         new = free[lane, picks]
         if new.shape[2] < k:
