@@ -109,6 +109,20 @@ COUNT_BASELINE_GOLDEN = {
     "summary.csv": "79045ae17a642d6038fadaef0e5cad2902a1864ea98909a22c1e6cbcdf534cee",
 }
 
+# COUNT_BASELINE_OVERRIDES ranks by served count, which a threshold moves
+# only through its counts. Under outage_throughput every baseline ranks by
+# the served users' rate sum, so this case pins that ranking under each of
+# the sweep's thresholds.
+OUTAGE_BASELINE_OVERRIDES = (*COUNT_BASELINE_OVERRIDES, "--set", "objective=outage_throughput")
+OUTAGE_BASELINE_GOLDEN = {
+    "baselines.csv": "cdce03be06294b82aaa68f1ae26488d79f807e52278379175ad1f650c979747b",
+    "cdf.csv": "0cf9263a8e9b806b8a7e2783c8a0df35df5005d0a81eb2b3adde7dcb2c8712fb",
+    "convergence.csv": "bdf698b633db404be9ae9842fc571d94f0d61afee576b4b2bca2d6c3ed985070",
+    "curve.csv": "466d3388ffd318cb6ae1b5ff476fd1e89d2db599ff121696821aad3e2ac48dc5",
+    "curve_example.csv": "8cccf675bfd0d2697fddd3a58c82803a74ca2a461d575ebbc87fac8d6d21345a",
+    "summary.csv": "dec88cd14bbc5837e2a696a7404939d2f5b25857738be3f2e01e2ccea478c27b",
+}
+
 # numpy sums a row of fewer than 8 terms in order and a longer one pairwise,
 # so the cases above leave the baselines' N >= 8 reductions unpinned. This
 # count case runs them at N = 8, where exhaustive enumeration is still cheap.
@@ -202,6 +216,11 @@ def test_count_baseline_csvs_match_golden_digests(tmp_path):
     assert got == COUNT_BASELINE_GOLDEN
 
 
+def test_outage_baseline_csvs_match_golden_digests(tmp_path):
+    got = recipe_digests(CONFIG_DIR / "served_users.cfg", tmp_path, OUTAGE_BASELINE_OVERRIDES)
+    assert got == OUTAGE_BASELINE_GOLDEN
+
+
 def test_n8_baseline_csvs_match_golden_digests(tmp_path):
     got = recipe_digests(CONFIG_DIR / "served_users.cfg", tmp_path, N8_BASELINE_OVERRIDES)
     assert got == N8_BASELINE_GOLDEN
@@ -271,11 +290,14 @@ if __name__ == "__main__":
                                   BASELINE_OVERRIDES)
         count_baseline = recipe_digests(CONFIG_DIR / "served_users.cfg",
                                         Path(tmp) / "count_baselines", COUNT_BASELINE_OVERRIDES)
+        outage_baseline = recipe_digests(CONFIG_DIR / "served_users.cfg",
+                                         Path(tmp) / "outage_baselines", OUTAGE_BASELINE_OVERRIDES)
         n8_baseline = recipe_digests(CONFIG_DIR / "served_users.cfg",
                                      Path(tmp) / "n8_baselines", N8_BASELINE_OVERRIDES)
     print("GOLDEN =", json.dumps(golden, indent=4))
     print("BASELINE_GOLDEN =", json.dumps(baseline, indent=4))
     print("COUNT_BASELINE_GOLDEN =", json.dumps(count_baseline, indent=4))
+    print("OUTAGE_BASELINE_GOLDEN =", json.dumps(outage_baseline, indent=4))
     print("N8_BASELINE_GOLDEN =", json.dumps(n8_baseline, indent=4))
     print("GA_GOLDEN =", json.dumps({shape: ga_digest(shape) for shape in sorted(GA_SHAPES)},
                                     indent=4))
