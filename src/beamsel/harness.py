@@ -209,39 +209,62 @@ class RealizationOutcome:
 # the block's arrays (gain tables, per-generation gathers, trajectories) the
 # way KEY_CHUNK_BYTES bounds its keys; no result depends on it.
 BLOCK_CAP = 64
+# Config fields that no channel, power or baseline draw reads: sweep points
+# that differ only in these share their baselines' scoring (see _group_key).
+BASELINE_FREE_FIELDS = ("theta_dB", "alpha", "S", "mutation_fraction")
 
 
-def _run_realization(ec: ExperimentConfig, cfg: SystemConfig, indices: Sequence[int]) -> list[RealizationOutcome]:
-    """Run the realizations `indices` of the point cfg as one lockstep block, in index order."""
-    evs = [SelectionEvaluator(cfg, realize_channel(cfg, i), ec.objective_kind) for i in indices]
-    trajs = ga_run(evs, [stream_rng(cfg.seed, i, STREAM_SEARCH) for i in indices])
-    outcomes = []
-    for index, ev, traj in zip(indices, evs, trajs):
-        weighted = traj.weighted_scores()
-        kstar = convergence_iteration(traj)
-        kstar0 = convergence_iteration(traj, alpha=0.0, tol=ec.convergence_tol)
-        at_kstar = ev.evaluate(traj.queens[kstar - 1])
-        baseline_scores: dict[str, float] = {}
-        if ec.baselines:
-            brng = stream_rng(cfg.seed, index, STREAM_BASELINE)
-            for name in ec.baselines:
-                if name == "random":
-                    _, baseline_scores[name] = random_search(ev, cfg.L * cfg.N_it, brng)
-                else:
-                    _, baseline_scores[name] = exhaustive_search(ev)
-        outcomes.append(RealizationOutcome(
-            weighted_curve=weighted,
-            weighted_bases=traj.weighted_bases,
-            raw_curve=traj.raw_scores,
-            kstar=kstar,
-            kstar_no_delay=kstar0,
-            final_weighted=float(weighted.max()),
-            final_raw=traj.final_raw,
-            served=int(at_kstar.served[0]),
-            user_rates_constrained=at_kstar.served_rates[0],
-            baseline_scores=baseline_scores,
-        ))
-    return outcomes
+def _group_key(base: SystemConfig, cfg: SystemConfig) -> SystemConfig:
+    """cfg with BASELINE_FREE_FIELDS reset to base's values; equal keys share baselines."""
+    return replace(cfg, **{f: getattr(base, f) for f in BASELINE_FREE_FIELDS})
+
+
+def _run_realization(ec: ExperimentConfig, cfgs: Sequence[SystemConfig],
+                     indices: Sequence[int]) -> list[list[RealizationOutcome]]:
+    """Run the realizations `indices` of a group of points and return each point's outcomes, in index order.
+
+    The points' configs share a _group_key. Each point's genetic searches
+    run as one lockstep block; then each realization scores each baseline's
+    rows once, from its baseline stream, and every point ranks them under its
+    own objective threshold.
+    """
+    evs = [[SelectionEvaluator(cfg, realize_channel(cfg, i), ec.objective_kind) for i in indices]
+           for cfg in cfgs]
+    trajs = [ga_run(point_evs, [stream_rng(cfg.seed, i, STREAM_SEARCH) for i in indices])
+             for cfg, point_evs in zip(cfgs, evs)]
+    cfg = cfgs[0]
+    scores = [[{} for _ in indices] for _ in cfgs]
+    for r, index in enumerate(indices):
+        group = [point_evs[r] for point_evs in evs]
+        brng = stream_rng(cfg.seed, index, STREAM_BASELINE)
+        for name in ec.baselines:
+            found = (random_search(group, cfg.L * cfg.N_it, brng) if name == "random"
+                     else exhaustive_search(group))
+            for point_scores, (_, score) in zip(scores, found):
+                point_scores[r][name] = score
+    return [[_outcome(ec, ev, traj, baseline_scores)
+             for ev, traj, baseline_scores in zip(point_evs, point_trajs, point_scores)]
+            for point_evs, point_trajs, point_scores in zip(evs, trajs, scores)]
+
+
+def _outcome(ec: ExperimentConfig, ev: SelectionEvaluator, traj: GaTrajectory,
+             baseline_scores: dict[str, float]) -> RealizationOutcome:
+    """What one realization's genetic search and baseline scores contribute to the aggregates."""
+    weighted = traj.weighted_scores()
+    kstar = convergence_iteration(traj)
+    at_kstar = ev.evaluate(traj.queens[kstar - 1])
+    return RealizationOutcome(
+        weighted_curve=weighted,
+        weighted_bases=traj.weighted_bases,
+        raw_curve=traj.raw_scores,
+        kstar=kstar,
+        kstar_no_delay=convergence_iteration(traj, alpha=0.0, tol=ec.convergence_tol),
+        final_weighted=float(weighted.max()),
+        final_raw=traj.final_raw,
+        served=int(at_kstar.served[0]),
+        user_rates_constrained=at_kstar.served_rates[0],
+        baseline_scores=baseline_scores,
+    )
 
 
 @dataclass
@@ -351,35 +374,48 @@ def run_experiment(ec: ExperimentConfig, workers: int = 1) -> ExperimentResult:
     """Run every sweep point that passes ec.violations; report the others as errors.
 
     A point is screened before any of its realizations runs, so an exception
-    raised inside a realization is a bug and propagates. Realizations are
-    reduced in index order whatever the worker count, so a given (config,
-    seed) pair always produces identical numbers.
+    raised inside a realization is a bug and propagates. The runnable points
+    whose configs share a _group_key run together, so each realization's
+    baselines are scored once for all of them; each point's wall_seconds is
+    its group's wall time split evenly. result.points keeps sweep order.
+    Realizations are reduced in index order whatever the worker count, so a
+    given (config, seed) pair always produces identical numbers.
     """
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     t_start = time.perf_counter()
     result = ExperimentResult(config=ec, workers=workers)
+    runnable: list[tuple[float | None, SystemConfig]] = []
+    groups: dict[SystemConfig, list[int]] = {}  # group key -> positions in runnable
+    for sweep_value, cfg in ec.points():
+        violations = ec.violations(cfg)
+        if violations:
+            result.errors.append(PointError(sweep_value, "invalid configuration: " + "; ".join(violations)))
+        else:
+            groups.setdefault(_group_key(ec.base, cfg), []).append(len(runnable))
+            runnable.append((sweep_value, cfg))
+    points: list[SweepPointResult | None] = [None] * len(runnable)
     pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
     try:
-        for sweep_value, cfg in ec.points():
+        for positions in groups.values():
             t0 = time.perf_counter()
-            violations = ec.violations(cfg)
-            if violations:
-                result.errors.append(PointError(sweep_value, "invalid configuration: " + "; ".join(violations)))
-                continue
+            cfgs = [runnable[i][1] for i in positions]
             # One block per worker, unless that exceeds BLOCK_CAP realizations.
-            n = cfg.realizations
+            n = cfgs[0].realizations
             size = min(BLOCK_CAP, -(-n // workers))
             blocks = [range(start, min(start + size, n)) for start in range(0, n, size)]
             if pool is None:
-                parts = [_run_realization(ec, cfg, block) for block in blocks]
+                parts = [_run_realization(ec, cfgs, block) for block in blocks]
             else:
-                parts = pool.map(_run_realization, repeat(ec), repeat(cfg), blocks)
-            outcomes = [o for part in parts for o in part]
-            result.points.append(_aggregate(sweep_value, cfg, outcomes, time.perf_counter() - t0))
+                parts = list(pool.map(_run_realization, repeat(ec), repeat(cfgs), blocks))
+            wall = (time.perf_counter() - t0) / len(positions)
+            for p, i in enumerate(positions):
+                outcomes = [o for part in parts for o in part[p]]
+                points[i] = _aggregate(*runnable[i], outcomes, wall)
     finally:
         if pool is not None:
             pool.shutdown()
+    result.points = points
     result.wall_seconds = time.perf_counter() - t_start
     return result
 

@@ -352,23 +352,36 @@ def search_space_size(cfg: SystemConfig) -> int:
     return math.perm(cfg.N_vec, cfg.N)
 
 
-def _best_of_chunks(ev: SelectionEvaluator, chunks) -> tuple[np.ndarray, float]:
-    """Score each (B, N) chunk of selections and return (best row, raw score).
+def _best_of_chunks(evs: Sequence[SelectionEvaluator], chunks) -> list[tuple[np.ndarray, float]]:
+    """Score each (B, N) chunk of selections once and return each evaluator's (best row, raw score).
 
-    rank_best picks each chunk's winner and then the best of the winners,
-    whose rates rows it reads, so ties resolve to the earliest member
-    whatever the chunk size. The winners' rows are copied as int64, so no
-    chunk's arrays outlive it.
+    The evaluators must share one gain table and power, so one evaluate call
+    through evs[0] gives every one of them the same user rates; each then
+    ranks those rates under its own objective and threshold. rank_best picks
+    each chunk's winner and then the best of the winners, whose rates rows
+    it reads, so ties resolve to the earliest member whatever the chunk
+    size. The winners' rows are copied as int64, so no chunk's arrays
+    outlive it.
     """
-    rows, raw, user_rates = [], [], []
+    ev0 = evs[0]
+    for ev in evs[1:]:
+        if (ev._p_over_m != ev0._p_over_m or ev._column_gains.shape != ev0._column_gains.shape
+                or ev._column_gains.tobytes() != ev0._column_gains.tobytes()):
+            raise ValueError("a baseline group needs evaluators that share one gain table and one power")
+    winners = [([], [], []) for _ in evs]
     for arr in chunks:
-        batch = ev.evaluate(arr)
-        i = batch.best_index()
-        rows.append(arr[i].astype(np.int64))
-        raw.append(batch.raw[i])
-        user_rates.append(batch.user_rates[i].copy())
-    w = rank_best(ev.kind, np.array(raw), np.array(user_rates))
-    return rows[w], float(raw[w])
+        first = ev0.evaluate(arr)
+        for ev, (rows, raw, user_rates) in zip(evs, winners):
+            batch = first if ev is ev0 else EvalBatch(ev.kind, first.user_rates, ev._min_rate)
+            i = batch.best_index()
+            rows.append(arr[i].astype(np.int64))
+            raw.append(batch.raw[i])
+            user_rates.append(batch.user_rates[i].copy())
+    best = []
+    for ev, (rows, raw, user_rates) in zip(evs, winners):
+        w = rank_best(ev.kind, np.array(raw), np.array(user_rates))
+        best.append((rows[w], float(raw[w])))
+    return best
 
 
 @functools.lru_cache(maxsize=1)
@@ -389,30 +402,34 @@ def _ordered_selections(n_vec: int, n: int) -> np.ndarray:
     return table
 
 
-def exhaustive_search(ev: SelectionEvaluator) -> tuple[np.ndarray, float]:
-    """Score every ordered selection, from the per-shape table, and return (best row, raw score).
+def exhaustive_search(evs: Sequence[SelectionEvaluator]) -> list[tuple[np.ndarray, float]]:
+    """Score every ordered selection, from the per-shape table, once for a group of evaluators.
 
-    The score is the undiscounted objective: sum rate, served-rate sum, or
-    served count. Ties resolve to the first optimum in lexicographic
-    enumeration order. Refuses to run when the space exceeds EXHAUSTIVE_CAP.
+    Returns each evaluator's (best row, raw score); the score is its
+    undiscounted objective: sum rate, served-rate sum, or served count. Ties
+    resolve to the first optimum in lexicographic enumeration order. Refuses
+    to run when the space exceeds EXHAUSTIVE_CAP, and raises ValueError when
+    the evaluators differ in gain table or power.
     """
-    cfg = ev.cfg
+    cfg = evs[0].cfg
     size = search_space_size(cfg)
     if size > EXHAUSTIVE_CAP:
         raise SearchSpaceError(
             f"{size} ordered selections exceed the exhaustive cap of {EXHAUSTIVE_CAP}; shrink N_vec/N")
     table = _ordered_selections(cfg.N_vec, cfg.N)
-    return _best_of_chunks(ev, (table[s:s + CHUNK] for s in range(0, size, CHUNK)))
+    return _best_of_chunks(evs, (table[s:s + CHUNK] for s in range(0, size, CHUNK)))
 
 
-def random_search(ev: SelectionEvaluator, budget: int,
-                  rng: np.random.Generator) -> tuple[np.ndarray, float]:
-    """Score `budget` uniform selections and return (best row, raw score).
+def random_search(evs: Sequence[SelectionEvaluator], budget: int,
+                  rng: np.random.Generator) -> list[tuple[np.ndarray, float]]:
+    """Score `budget` uniform selections once for a group of evaluators.
 
-    The matched-budget baseline for the genetic search is budget = L * N_it.
-    Ties resolve to the earliest draw.
+    Returns each evaluator's (best row, raw score). The matched-budget
+    baseline for the genetic search is budget = L * N_it. Ties resolve to
+    the earliest draw. Raises ValueError when the evaluators differ in gain
+    table or power.
     """
-    cfg = ev.cfg
+    cfg = evs[0].cfg
     if budget < 1:
         raise ValueError(f"budget must be at least 1, got {budget}")
 
@@ -420,4 +437,4 @@ def random_search(ev: SelectionEvaluator, budget: int,
         for start in range(0, budget, CHUNK):
             yield _draw_selection(min(CHUNK, budget - start), cfg.N, cfg.N_vec, rng)
 
-    return _best_of_chunks(ev, chunks())
+    return _best_of_chunks(evs, chunks())

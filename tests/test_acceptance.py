@@ -65,7 +65,7 @@ def test_c01_oracle_equivalence():
     evs = [SelectionEvaluator(cfg, realize_channel(cfg, r)) for r in range(200)]
     trajs = ga_run(evs, [stream_rng(SEED, r, STREAM_SEARCH) for r in range(200)])
     for ev, traj in zip(evs, trajs):
-        _, opt = exhaustive_search(ev)
+        ((_, opt),) = exhaustive_search([ev])
         if abs(traj.final_raw - opt) <= 1e-9 * max(1.0, abs(opt)):
             attained += 1
         gaps.append(max(0.0, opt - traj.final_raw) / abs(opt))

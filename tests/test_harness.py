@@ -130,7 +130,7 @@ def test_point_search_uses_point_threshold_and_alpha():
                               sweep_key="theta_dB", sweep_values=(-3.0, 6.0))
         served = []
         for _, cfg in ec.points():
-            (outcome,) = _run_realization(ec, cfg, [0])
+            ((outcome,),) = _run_realization(ec, [cfg], [0])
             ev = SelectionEvaluator(cfg, realize_channel(cfg, 0), kind)
             (traj,) = ga_run([ev], [stream_rng(cfg.seed, 0, STREAM_SEARCH)])
             queen = traj.queens[outcome.kstar - 1]
@@ -145,7 +145,7 @@ def test_point_search_uses_point_threshold_and_alpha():
     # Under the rate-sum objective the weighted curve is (1 - alpha*K) times the raw one.
     ec = ExperimentConfig(base=_base(realizations=1), sweep_key="alpha", sweep_values=(0.0, 0.01))
     for _, cfg in ec.points():
-        (outcome,) = _run_realization(ec, cfg, [0])
+        ((outcome,),) = _run_realization(ec, [cfg], [0])
         k = np.arange(1, cfg.N_it + 1)
         np.testing.assert_array_equal(outcome.weighted_curve, (1.0 - cfg.alpha * k) * outcome.raw_curve)
 
@@ -324,10 +324,64 @@ def test_baseline_scores_bracket_the_search(tmp_path):
     assert [r.split(",")[3] for r in rows] == ["56", str(base.L * base.N_it)]
 
 
+def _baseline_rows(result, out) -> list[list[str]]:
+    """baselines.csv's data rows without the sweep_value column."""
+    write_result_files(result, out)
+    return [row.split(",")[1:] for row in (out / "baselines.csv").read_text().splitlines()[1:]]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("kind,key,values", [
+    *[(kind, "theta_dB", (-4.0, 0.0, 4.0, 0.0)) for kind in ObjectiveKind],
+    (ObjectiveKind.OUTAGE_COUNT, "alpha", (0.0, 0.01)),
+], ids=[*(f"theta-{kind.value}" for kind in ObjectiveKind), "alpha-outage_count"])
+def test_shared_baselines_match_each_point_alone(kind, key, values, workers, tmp_path):
+    # A sweep over theta_dB or alpha runs as one group whose baselines score
+    # each realization's rows once. Every point's per-realization scores and
+    # baselines.csv rows must have the bits of that point run on its own,
+    # and a repeated value keeps both of its points.
+    base = _base(M=8, N=4, N_vec=16, N_it=20, P_dB=0.0, realizations=5)
+    ec = ExperimentConfig(base=base, objective_kind=kind, sweep_key=key, sweep_values=values,
+                          baselines=("random", "exhaustive"))
+    shared = run_experiment(ec, workers=workers)
+    assert not shared.errors and [pt.sweep_value for pt in shared.points] == list(values)
+    rows = _baseline_rows(shared, tmp_path / "shared")
+    assert len(rows) == 2 * len(values)
+    for i, (pt, (_, cfg)) in enumerate(zip(shared.points, ec.points())):
+        alone = run_experiment(replace(ec, base=cfg, sweep_key=None, sweep_values=()), workers=workers)
+        (want,) = alone.points
+        for name in ec.baselines:
+            assert pt.baseline_scores[name].tobytes() == want.baseline_scores[name].tobytes(), (i, name)
+        assert rows[2 * i:2 * i + 2] == _baseline_rows(alone, tmp_path / f"alone{i}")
+    if key == "theta_dB" and kind is not ObjectiveKind.THROUGHPUT:
+        # The thresholds rank differently, so one shared ranking could not pass.
+        scores = [pt.baseline_scores["exhaustive"].tobytes() for pt in shared.points[:3]]
+        assert len(set(scores)) == 3
+
+
+def test_sweep_keeps_every_point_in_sweep_order():
+    # P_dB changes the power, so 0 and 10 are two groups; the repeated 0 runs
+    # with the first one and both keep their place.
+    ec = ExperimentConfig(base=_base(N_it=10, realizations=2), sweep_key="P_dB",
+                          sweep_values=(0.0, 10.0, 0.0), baselines=("random",))
+    result = run_experiment(ec)
+    assert [pt.sweep_value for pt in result.points] == [0.0, 10.0, 0.0]
+    first, _, again = result.points
+    assert first.baseline_scores["random"].tobytes() == again.baseline_scores["random"].tobytes()
+    assert first.final_throughputs.tobytes() == again.final_throughputs.tobytes()
+
+
+def test_group_wall_time_is_split_evenly():
+    ec = ExperimentConfig(base=_base(N_it=10, realizations=2), sweep_key="theta_dB",
+                          sweep_values=(-3.0, 0.0, 3.0), baselines=("random",))
+    walls = {pt.wall_seconds for pt in run_experiment(ec).points}
+    assert len(walls) == 1 and walls.pop() > 0.0
+
+
 def test_aggregate_is_order_insensitive():
     cfg = _base(N_it=15, realizations=3)
     ec = ExperimentConfig(base=cfg)
-    outcomes = _run_realization(ec, cfg, range(3))
+    (outcomes,) = _run_realization(ec, [cfg], range(3))
     fwd = _aggregate(None, cfg, outcomes, 0.0)
     rev = _aggregate(None, cfg, list(reversed(outcomes)), 0.0)
     np.testing.assert_allclose(fwd.mean_weighted_curve, rev.mean_weighted_curve, rtol=1e-12)

@@ -363,12 +363,14 @@ class _TableEvaluator:
     """Stands in for SelectionEvaluator under the count objective: selection [i] scores rates[i]."""
 
     kind = ObjectiveKind.OUTAGE_COUNT
+    _p_over_m = 1.0
 
-    def __init__(self, rates: np.ndarray):
-        self.rates = rates
+    def __init__(self, rates: np.ndarray, min_rate: float):
+        self._column_gains = rates  # what the group check compares
+        self._min_rate = min_rate
 
     def evaluate(self, selections: np.ndarray) -> EvalBatch:
-        return EvalBatch(self.kind, self.rates[selections[:, 0]], 2.0)
+        return EvalBatch(self.kind, self._column_gains[selections[:, 0]], self._min_rate)
 
 
 @settings(max_examples=300, deadline=None)
@@ -380,16 +382,19 @@ class _TableEvaluator:
 @example([[0, 1], [1, 1], [1, 0]], 1)          # every row ties in served count
 @example([[2, 0], [0, 0], [2, 3], [2, 3]], 2)  # a later tied row wins, in a later chunk
 def test_count_ranking_matches_lexicographic_oracle(rows, chunk):
-    # Integer-valued rates against a threshold rate of 2 make ties in served
-    # count, and in sum rate among the tied rows, common.
+    # Integer-valued rates against threshold rates of 2 and 1 make ties in
+    # served count, and in sum rate among the tied rows, common. One group
+    # scores the chunks once and ranks them under both thresholds.
     user_rates = np.array(rows, dtype=np.float64)
-    served = (user_rates >= 2.0).sum(axis=1)
-    want = lexicographic_best(served.tolist(), user_rates.sum(axis=1).tolist())
-    assert EvalBatch(ObjectiveKind.OUTAGE_COUNT, user_rates, 2.0).best_index() == want
     ids = np.arange(len(rows))[:, None]
-    sel, score = _best_of_chunks(_TableEvaluator(user_rates),
-                                 (ids[s:s + chunk] for s in range(0, len(rows), chunk)))
-    assert (sel.tolist(), score) == ([want], float(served[want]))
+    thresholds = (2.0, 1.0)
+    found = _best_of_chunks([_TableEvaluator(user_rates, t) for t in thresholds],
+                            (ids[s:s + chunk] for s in range(0, len(rows), chunk)))
+    for threshold, (sel, score) in zip(thresholds, found):
+        served = (user_rates >= threshold).sum(axis=1)
+        want = lexicographic_best(served.tolist(), user_rates.sum(axis=1).tolist())
+        assert EvalBatch(ObjectiveKind.OUTAGE_COUNT, user_rates, threshold).best_index() == want
+        assert (sel.tolist(), score) == ([want], float(served[want]))
 
 
 def test_ga_scores_never_decrease():
@@ -509,7 +514,7 @@ def test_exhaustive_matches_explicit_enumeration():
         if score > best_score:
             best_score = score
             best_sel = perm
-    sel, score = exhaustive_search(SelectionEvaluator(cfg, h))
+    ((sel, score),) = exhaustive_search([SelectionEvaluator(cfg, h)])
     assert score == pytest.approx(best_score, rel=1e-14)
     assert sel.tolist() == list(best_sel)
 
@@ -517,7 +522,7 @@ def test_exhaustive_matches_explicit_enumeration():
 def test_exhaustive_tie_breaks_to_first_enumerated():
     cfg = _cfg(M=4, N=2, N_vec=8)
     flat = ComplexMatrix(np.zeros((2, 4)))
-    sel, score = exhaustive_search(SelectionEvaluator(cfg, flat))
+    ((sel, score),) = exhaustive_search([SelectionEvaluator(cfg, flat)])
     assert score == 0.0
     assert sel.tolist() == [0, 1]
 
@@ -568,9 +573,9 @@ def test_chunk_size_never_changes_the_winner(monkeypatch, kind, flat):
     r_want = _best_row(drawn_batch)
     for chunk in (1, 7, 4096):
         monkeypatch.setattr(search, "CHUNK", chunk)
-        sel, score = exhaustive_search(ev)
+        ((sel, score),) = exhaustive_search([ev])
         assert (sel.tolist(), score) == (table[want].tolist(), float(every.raw[want]))
-        sel, score = random_search(ev, 40, np.random.default_rng(5))
+        ((sel, score),) = random_search([ev], 40, np.random.default_rng(5))
         assert (sel.tolist(), score) == (drawn[r_want].tolist(), float(drawn_batch.raw[r_want]))
 
 
@@ -578,14 +583,14 @@ def test_exhaustive_refuses_oversized_space():
     cfg = _cfg(M=32, N=8, N_vec=128)
     h = _channel(cfg)
     with pytest.raises(SearchSpaceError):
-        exhaustive_search(SelectionEvaluator(cfg, h))
+        exhaustive_search([SelectionEvaluator(cfg, h)])
 
 
 def test_exhaustive_count_objective_returns_served_count():
     # At this power and threshold the 56 rows serve 0, 1 or 2 users, and 9 tie at 2.
     cfg = _cfg(M=4, N=2, N_vec=8, P_dB=10.0, theta_dB=0.0)
     ev = SelectionEvaluator(cfg, _channel(cfg), ObjectiveKind.OUTAGE_COUNT)
-    sel, score = exhaustive_search(ev)
+    ((sel, score),) = exhaustive_search([ev])
     assert isinstance(score, float)
     batch = ev.evaluate(sel)
     assert score == int(batch.served[0])
@@ -597,21 +602,42 @@ def test_exhaustive_count_objective_returns_served_count():
     assert every.total_sum[tied].max() == pytest.approx(float(batch.total_sum[0]), rel=1e-14)
 
 
+def test_baseline_group_needs_one_gain_table_and_power():
+    cfg = _cfg(M=8, N=2, N_vec=16, P_dB=0.0)
+    ev = SelectionEvaluator(cfg, _channel(cfg))
+    differing = {
+        "channel": SelectionEvaluator(cfg, _channel(cfg, 1)),
+        "power": SelectionEvaluator(replace(cfg, P_dB=3.0), _channel(cfg)),
+        "codebook": SelectionEvaluator(replace(cfg, N_vec=8), _channel(cfg)),
+    }
+    for what, other in differing.items():
+        for group in ([ev, other], [other, ev]):
+            with pytest.raises(ValueError, match="one gain table and one power"):
+                exhaustive_search(group)
+            with pytest.raises(ValueError, match="one gain table and one power"):
+                random_search(group, 10, np.random.default_rng(0))
+            with pytest.raises(ValueError, match="one gain table and one power"):
+                _best_of_chunks(group, iter([np.array([[0, 1]])]))
+    # A threshold, an alpha or an objective of its own leaves the table and power shared.
+    shared = SelectionEvaluator(replace(cfg, theta_dB=5.0, alpha=0.01), _channel(cfg), ObjectiveKind.OUTAGE_COUNT)
+    assert len(exhaustive_search([ev, shared])) == len(random_search([ev, shared], 10, np.random.default_rng(0))) == 2
+
+
 def test_random_search_budget_one_and_determinism():
     cfg = _cfg(M=8, N=2, N_vec=16)
     ev = SelectionEvaluator(cfg, _channel(cfg))
-    a_sel, a_score = random_search(ev, 1, np.random.default_rng(3))
-    b_sel, b_score = random_search(ev, 1, np.random.default_rng(3))
+    ((a_sel, a_score),) = random_search([ev], 1, np.random.default_rng(3))
+    ((b_sel, b_score),) = random_search([ev], 1, np.random.default_rng(3))
     assert a_sel.tolist() == b_sel.tolist() and a_score == b_score
     with pytest.raises(ValueError):
-        random_search(ev, 0, np.random.default_rng(3))
+        random_search([ev], 0, np.random.default_rng(3))
 
 
 def test_random_search_never_beats_exhaustive():
     cfg = _cfg(M=4, N=2, N_vec=8)
     ev = SelectionEvaluator(cfg, _channel(cfg))
-    _, opt = exhaustive_search(ev)
-    _, found = random_search(ev, 25, np.random.default_rng(0))
+    ((_, opt),) = exhaustive_search([ev])
+    ((_, found),) = random_search([ev], 25, np.random.default_rng(0))
     assert found <= opt + 1e-12
 
 
@@ -621,7 +647,7 @@ def test_ga_attains_small_instance_optimum_most_of_the_time():
     trials = 30
     for r in range(trials):
         ev = SelectionEvaluator(cfg, realize_channel(cfg, r))
-        _, opt = exhaustive_search(ev)
+        ((_, opt),) = exhaustive_search([ev])
         traj = _ga(ev, stream_rng(cfg.seed, r, STREAM_SEARCH))
         assert traj.final_raw <= opt + 1e-9  # can never beat the true optimum
         if traj.final_raw >= opt - 1e-9:
@@ -636,7 +662,7 @@ def test_ga_beats_matched_budget_random_search_on_average():
     for r in range(40):
         ev = SelectionEvaluator(cfg, realize_channel(cfg, r))
         traj = _ga(ev, stream_rng(cfg.seed, r, STREAM_SEARCH))
-        _, found = random_search(ev, cfg.L * cfg.N_it, stream_rng(cfg.seed, r, 2))
+        ((_, found),) = random_search([ev], cfg.L * cfg.N_it, stream_rng(cfg.seed, r, 2))
         ga_scores.append(traj.final_raw)
         rs_scores.append(found)
     assert np.mean(ga_scores) > np.mean(rs_scores)
