@@ -210,20 +210,15 @@ class RealizationOutcome:
 # way KEY_CHUNK_BYTES bounds its keys; no result depends on it.
 BLOCK_CAP = 64
 # Config fields that no channel, power or baseline draw reads: sweep points
-# that differ only in these share their baselines' scoring (see _group_key).
+# that differ only in these share their baselines' scoring.
 BASELINE_FREE_FIELDS = ("theta_dB", "alpha", "S", "mutation_fraction")
-
-
-def _group_key(base: SystemConfig, cfg: SystemConfig) -> SystemConfig:
-    """cfg with BASELINE_FREE_FIELDS reset to base's values; equal keys share baselines."""
-    return replace(cfg, **{f: getattr(base, f) for f in BASELINE_FREE_FIELDS})
 
 
 def _run_realization(ec: ExperimentConfig, cfgs: Sequence[SystemConfig],
                      indices: Sequence[int]) -> list[list[RealizationOutcome]]:
     """Run the realizations `indices` of a group of points and return each point's outcomes, in index order.
 
-    The points' configs share a _group_key. Each point's genetic searches
+    The points' configs differ only in BASELINE_FREE_FIELDS. Each point's genetic searches
     run as one lockstep block; then each realization scores each baseline's
     rows once, from its baseline stream, and every point ranks them under its
     own objective threshold.
@@ -375,9 +370,10 @@ def run_experiment(ec: ExperimentConfig, workers: int = 1) -> ExperimentResult:
 
     A point is screened before any of its realizations runs, so an exception
     raised inside a realization is a bug and propagates. The runnable points
-    whose configs share a _group_key run together, so each realization's
-    baselines are scored once for all of them; each point's wall_seconds is
-    its group's wall time split evenly. result.points keeps sweep order.
+    whose configs differ only in BASELINE_FREE_FIELDS run as one group, so
+    each realization's baselines are scored once for all of them; each
+    point's wall_seconds is its group's wall time split evenly.
+    result.points keeps sweep order.
     Realizations are reduced in index order whatever the worker count, so a
     given (config, seed) pair always produces identical numbers.
     """
@@ -386,13 +382,14 @@ def run_experiment(ec: ExperimentConfig, workers: int = 1) -> ExperimentResult:
     t_start = time.perf_counter()
     result = ExperimentResult(config=ec, workers=workers)
     runnable: list[tuple[float | None, SystemConfig]] = []
-    groups: dict[SystemConfig, list[int]] = {}  # group key -> positions in runnable
+    groups: dict[SystemConfig, list[int]] = {}  # cfg with the free fields reset -> positions in runnable
     for sweep_value, cfg in ec.points():
         violations = ec.violations(cfg)
         if violations:
             result.errors.append(PointError(sweep_value, "invalid configuration: " + "; ".join(violations)))
         else:
-            groups.setdefault(_group_key(ec.base, cfg), []).append(len(runnable))
+            key = replace(cfg, **{f: getattr(ec.base, f) for f in BASELINE_FREE_FIELDS})
+            groups.setdefault(key, []).append(len(runnable))
             runnable.append((sweep_value, cfg))
     points: list[SweepPointResult | None] = [None] * len(runnable)
     pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
