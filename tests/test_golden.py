@@ -137,6 +137,31 @@ N8_BASELINE_GOLDEN = {
     "summary.csv": "a23efcf6cb96f46617367476ffd933bf44041df4f1b5b45977dd9b9365cbc9a4",
 }
 
+# Every case above runs 3 realizations, and numpy sums fewer than 8 terms in
+# order, so none of them pins how the means over realizations are reduced.
+# These cases run 20, which numpy sums pairwise.
+MANY_REALIZATIONS_CASES = {
+    "count_baselines": ("served_users.cfg", (*COUNT_BASELINE_OVERRIDES, "--set", "realizations=20")),
+    "throughput": ("power_sweep.cfg", ("--set", "realizations=20")),
+}
+MANY_REALIZATIONS_GOLDEN = {
+    "count_baselines": {
+        "baselines.csv": "3d6016febf6940957a3d21870b473bab7836ad283338851b2dbd942cbc94e927",
+        "cdf.csv": "646b3081c868e39b910a4e4dce767e76d1348a458fda13ffacc8676129818a06",
+        "convergence.csv": "fc7da2ea695260d0f11e6b7d321ef4535c321ea48d7d75994ba963202a3af349",
+        "curve.csv": "3fd9e30ce19b32c943eb6fd2d77bee3ec43436a793656d98c958071ad1fa6749",
+        "curve_example.csv": "64e140ad071962739ce1c938d5a4e76715b426186a8f15dfcfa569cf975785be",
+        "summary.csv": "258d615a0fdace2b8e0cabab50f6f371ef80a2660c2dd42186e5b28004542f90",
+    },
+    "throughput": {
+        "cdf.csv": "502330a803192887c8afcaee5aa8036e743e16d26aa51eb297b0c75b57600c75",
+        "convergence.csv": "79954b0fd63470e743814c2ea6c4d76da1c9c9b2405c5bd77f41e5fadf2ccd1d",
+        "curve.csv": "8cfb4e919e42972b1f3fbc25c285a419fc304d44d899f21d52c4ffe1778b4667",
+        "curve_example.csv": "ffe46a6dc28e494db5f5f313a30553c61dd608e9cfe0a87f3ae75a6c5ef8ff9f",
+        "summary.csv": "65b03d5770fca62bf86841909fcce89c33a6bb28583dfe88ed1634714787edae",
+    },
+}
+
 
 # Every recipe replaces one slot per mutation from a codebook with spare
 # columns. These ga_run cases pin the other mutation shapes: several slots
@@ -226,6 +251,12 @@ def test_n8_baseline_csvs_match_golden_digests(tmp_path):
     assert got == N8_BASELINE_GOLDEN
 
 
+@pytest.mark.parametrize("case", sorted(MANY_REALIZATIONS_CASES))
+def test_many_realization_csvs_match_golden_digests(case, tmp_path):
+    recipe, extra = MANY_REALIZATIONS_CASES[case]
+    assert recipe_digests(CONFIG_DIR / recipe, tmp_path, extra) == MANY_REALIZATIONS_GOLDEN[case]
+
+
 @pytest.mark.parametrize("shape", sorted(GA_GOLDEN))
 def test_ga_run_matches_golden_digest(shape):
     assert ga_digest(shape) == GA_GOLDEN[shape]
@@ -294,10 +325,13 @@ if __name__ == "__main__":
                                          Path(tmp) / "outage_baselines", OUTAGE_BASELINE_OVERRIDES)
         n8_baseline = recipe_digests(CONFIG_DIR / "served_users.cfg",
                                      Path(tmp) / "n8_baselines", N8_BASELINE_OVERRIDES)
+        many = {case: recipe_digests(CONFIG_DIR / recipe, Path(tmp) / f"many_{case}", extra)
+                for case, (recipe, extra) in sorted(MANY_REALIZATIONS_CASES.items())}
     print("GOLDEN =", json.dumps(golden, indent=4))
     print("BASELINE_GOLDEN =", json.dumps(baseline, indent=4))
     print("COUNT_BASELINE_GOLDEN =", json.dumps(count_baseline, indent=4))
     print("OUTAGE_BASELINE_GOLDEN =", json.dumps(outage_baseline, indent=4))
     print("N8_BASELINE_GOLDEN =", json.dumps(n8_baseline, indent=4))
+    print("MANY_REALIZATIONS_GOLDEN =", json.dumps(many, indent=4))
     print("GA_GOLDEN =", json.dumps({shape: ga_digest(shape) for shape in sorted(GA_SHAPES)},
                                     indent=4))
