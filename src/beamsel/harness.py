@@ -21,10 +21,11 @@ import numpy as np
 from ._version import __version__
 from .channel import STREAM_BASELINE, STREAM_SEARCH, realize_channel, stream_rng
 from .core import ConfigError, SystemConfig, validate_config
-from .metrics import ObjectiveKind
+from .metrics import ObjectiveKind, min_rate_for_threshold
 from .search import (
     EXHAUSTIVE_CAP,
     STREAM_LAYOUT,
+    EvalBatch,
     GaTrajectory,
     SelectionEvaluator,
     delay_weighted,
@@ -162,8 +163,8 @@ class ExperimentConfig:
         return errs
 
 
-def convergence_iteration(traj: GaTrajectory, alpha: float | None = None, tol: float = 0.0) -> int:
-    """Iteration the experiment reports as the stopping point of a run.
+def convergence_iteration(traj: GaTrajectory, alpha: float | None = None, tol: float = 0.0) -> np.ndarray:
+    """(R,) iteration the experiment reports as the stopping point of each run of a block.
 
     With a positive delay penalty this is the first iteration maximizing the
     delay-weighted score. With alpha = 0 it is the first iteration whose raw
@@ -171,9 +172,9 @@ def convergence_iteration(traj: GaTrajectory, alpha: float | None = None, tol: f
     """
     a = traj.alpha if alpha is None else alpha
     if a > 0:
-        return int(np.argmax(traj.weighted_scores(a))) + 1
-    target = (1.0 - tol) * traj.final_raw
-    return int(np.argmax(traj.raw_scores >= target)) + 1
+        return np.argmax(traj.weighted_scores(a), axis=-1) + 1
+    target = (1.0 - tol) * traj.raw_scores[:, -1:]
+    return np.argmax(traj.raw_scores >= target, axis=-1) + 1
 
 
 def rate_cdf(samples: np.ndarray) -> list[tuple[float, float]]:
@@ -189,22 +190,6 @@ def rate_cdf(samples: np.ndarray) -> list[tuple[float, float]]:
     return list(zip(values.tolist(), fractions.tolist()))
 
 
-@dataclass(frozen=True)
-class RealizationOutcome:
-    """Everything one realization contributes to the aggregates."""
-
-    weighted_curve: np.ndarray   # (N_it,) delay-weighted score per iteration
-    weighted_bases: np.ndarray   # (N_it,) what (1 - alpha*K) multiplies; raw_curve itself for rate sums
-    raw_curve: np.ndarray        # (N_it,)
-    kstar: int                   # reported stopping iteration
-    kstar_no_delay: int          # stopping iteration under alpha = 0
-    final_weighted: float        # best delay-weighted score of the run
-    final_raw: float             # raw score of the last iteration
-    served: int
-    user_rates_constrained: np.ndarray  # (N,) rates at K*, zeroed for users in outage
-    baseline_scores: dict[str, float]
-
-
 # Most realizations one _run_realization call advances in lockstep. It bounds
 # the block's arrays (gain tables, per-generation gathers, trajectories) the
 # way KEY_CHUNK_BYTES bounds its keys; no result depends on it.
@@ -215,20 +200,22 @@ BASELINE_FREE_FIELDS = ("theta_dB", "alpha", "S", "mutation_fraction")
 
 
 def _run_realization(ec: ExperimentConfig, cfgs: Sequence[SystemConfig],
-                     indices: Sequence[int]) -> list[list[RealizationOutcome]]:
-    """Run the realizations `indices` of a group of points and return each point's outcomes, in index order.
+                     indices: Sequence[int]) -> list[tuple[GaTrajectory, dict[str, np.ndarray]]]:
+    """Run the realizations `indices` of a group of points: each point's block trajectory and baseline scores.
 
-    The points' configs differ only in BASELINE_FREE_FIELDS. Each point's genetic searches
-    run as one lockstep block; then each realization scores each baseline's
-    rows once, from its baseline stream, and every point ranks them under its
-    own objective threshold.
+    The points' configs differ only in BASELINE_FREE_FIELDS, which no channel
+    reads, so each realization's channel is drawn once for all of them. Each
+    point's genetic searches run as one lockstep block; then each
+    realization scores each baseline's rows once, from its baseline stream,
+    and every point ranks them under its own objective threshold. A point's
+    baseline scores are one (len(indices),) array per baseline, in index order.
     """
-    evs = [[SelectionEvaluator(cfg, realize_channel(cfg, i), ec.objective_kind) for i in indices]
-           for cfg in cfgs]
-    trajs = [ga_run(point_evs, [stream_rng(cfg.seed, i, STREAM_SEARCH) for i in indices])
-             for cfg, point_evs in zip(cfgs, evs)]
     cfg = cfgs[0]
-    scores = [[{} for _ in indices] for _ in cfgs]
+    channels = [realize_channel(cfg, i) for i in indices]
+    evs = [[SelectionEvaluator(c, h, ec.objective_kind) for h in channels] for c in cfgs]
+    trajs = [ga_run(point_evs, [stream_rng(cfg.seed, i, STREAM_SEARCH) for i in indices])
+             for point_evs in evs]
+    scores = [{name: np.empty(len(indices)) for name in ec.baselines} for _ in cfgs]
     for r, index in enumerate(indices):
         group = [point_evs[r] for point_evs in evs]
         brng = stream_rng(cfg.seed, index, STREAM_BASELINE)
@@ -236,30 +223,8 @@ def _run_realization(ec: ExperimentConfig, cfgs: Sequence[SystemConfig],
             found = (random_search(group, cfg.L * cfg.N_it, brng) if name == "random"
                      else exhaustive_search(group))
             for point_scores, (_, score) in zip(scores, found):
-                point_scores[r][name] = score
-    return [[_outcome(ec, ev, traj, baseline_scores)
-             for ev, traj, baseline_scores in zip(point_evs, point_trajs, point_scores)]
-            for point_evs, point_trajs, point_scores in zip(evs, trajs, scores)]
-
-
-def _outcome(ec: ExperimentConfig, ev: SelectionEvaluator, traj: GaTrajectory,
-             baseline_scores: dict[str, float]) -> RealizationOutcome:
-    """What one realization's genetic search and baseline scores contribute to the aggregates."""
-    weighted = traj.weighted_scores()
-    kstar = convergence_iteration(traj)
-    at_kstar = ev.evaluate(traj.queens[kstar - 1])
-    return RealizationOutcome(
-        weighted_curve=weighted,
-        weighted_bases=traj.weighted_bases,
-        raw_curve=traj.raw_scores,
-        kstar=kstar,
-        kstar_no_delay=convergence_iteration(traj, alpha=0.0, tol=ec.convergence_tol),
-        final_weighted=float(weighted.max()),
-        final_raw=traj.final_raw,
-        served=int(at_kstar.served[0]),
-        user_rates_constrained=at_kstar.served_rates[0],
-        baseline_scores=baseline_scores,
-    )
+                point_scores[name][r] = score
+    return list(zip(trajs, scores))
 
 
 @dataclass
@@ -342,25 +307,42 @@ class ExperimentResult:
     wall_seconds: float = 0.0
 
 
-def _aggregate(sweep_value: float | None, cfg: SystemConfig,
-               outcomes: list[RealizationOutcome], wall: float) -> SweepPointResult:
-    weighted = np.stack([o.weighted_curve for o in outcomes])
-    raw = np.stack([o.raw_curve for o in outcomes])
+def _aggregate(ec: ExperimentConfig, sweep_value: float | None, cfg: SystemConfig,
+               parts: list[tuple[GaTrajectory, dict[str, np.ndarray]]], wall: float) -> SweepPointResult:
+    """One point's statistics from its blocks' (trajectory, baseline scores), concatenated in the given order.
+
+    Every mean over realizations reduces a C-contiguous (R, N_it) array, so
+    numpy adds its rows in index order. The served counts and rates at K*
+    are her queen's recorded rates under the point's own threshold.
+    """
+    def cat(name: str) -> np.ndarray:
+        return np.concatenate([getattr(traj, name) for traj, _ in parts])
+
+    raw = cat("raw_scores")
+    shared = parts[0][0].weighted_bases is parts[0][0].raw_scores
+    traj = GaTrajectory(queens=cat("queens"), raw_scores=raw,
+                        weighted_bases=raw if shared else cat("weighted_bases"),
+                        queen_rates=cat("queen_rates"), alpha=cfg.alpha)
+    weighted = traj.weighted_scores()
+    kstar = convergence_iteration(traj)
+    at_kstar = EvalBatch(ec.objective_kind, traj.queen_rates[np.arange(raw.shape[0]), kstar - 1],
+                         min_rate_for_threshold(cfg.theta_dB))
+    example_raw = raw[0].copy()
     return SweepPointResult(
         sweep_value=sweep_value,
         cfg=cfg,
         mean_weighted_curve=weighted.mean(axis=0),
         mean_raw_curve=raw.mean(axis=0),
-        example_weighted_bases=outcomes[0].weighted_bases,
-        example_raw_curve=outcomes[0].raw_curve,
-        final_throughputs=np.array([o.final_weighted for o in outcomes]),
-        final_raws=np.array([o.final_raw for o in outcomes]),
-        convergence_iterations=np.array([o.kstar for o in outcomes]),
-        convergence_iterations_no_delay=np.array([o.kstar_no_delay for o in outcomes]),
-        served_counts=np.array([o.served for o in outcomes]),
-        rate_samples=np.concatenate([o.user_rates_constrained for o in outcomes]),
-        baseline_scores={name: np.array([o.baseline_scores[name] for o in outcomes])
-                         for name in outcomes[0].baseline_scores},
+        example_weighted_bases=example_raw if shared else traj.weighted_bases[0].copy(),
+        example_raw_curve=example_raw,
+        final_throughputs=weighted.max(axis=1),
+        final_raws=raw[:, -1].copy(),
+        convergence_iterations=kstar,
+        convergence_iterations_no_delay=convergence_iteration(traj, alpha=0.0, tol=ec.convergence_tol),
+        served_counts=at_kstar.served,
+        rate_samples=at_kstar.served_rates.ravel(),
+        baseline_scores={name: np.concatenate([scores[name] for _, scores in parts])
+                         for name in ec.baselines},
         wall_seconds=wall,
     )
 
@@ -407,8 +389,7 @@ def run_experiment(ec: ExperimentConfig, workers: int = 1) -> ExperimentResult:
                 parts = list(pool.map(_run_realization, repeat(ec), repeat(cfgs), blocks))
             wall = (time.perf_counter() - t0) / len(positions)
             for p, i in enumerate(positions):
-                outcomes = [o for part in parts for o in part[p]]
-                points[i] = _aggregate(*runnable[i], outcomes, wall)
+                points[i] = _aggregate(ec, *runnable[i], [part[p] for part in parts], wall)
     finally:
         if pool is not None:
             pool.shutdown()

@@ -231,52 +231,38 @@ def mutate(parents: np.ndarray, slots: np.ndarray, picks: np.ndarray, n_vec: int
 
 
 def delay_weighted(bases: np.ndarray, alpha: float) -> np.ndarray:
-    """(1 - alpha*K) * bases[K - 1] for K = 1..N_it: the delay-weighted curve."""
-    k = np.arange(1, bases.size + 1, dtype=np.float64)
+    """(1 - alpha*K) * bases[..., K - 1] for K = 1..N_it along the last axis: the delay-weighted curves."""
+    k = np.arange(1, bases.shape[-1] + 1, dtype=np.float64)
     return (1.0 - alpha * k) * bases
 
 
 @dataclass(frozen=True)
 class GaTrajectory:
-    """Per-iteration record of a genetic algorithm run.
+    """Per-iteration record of a block of genetic algorithm runs, one row per realization.
 
-    queens holds the best selection of each iteration (0-based columns).
-    raw_scores is the undiscounted objective scalar of that queen: sum rate,
-    served-user rate sum, or served-user count depending on the objective.
-    weighted_bases is the rate sum that the delay factor (1 - alpha*K)
-    multiplies: the raw score itself, and the same array, for the rate-sum
-    objectives; the served-rate sum for the count objective, recorded for
-    reporting even though the search ranks by count. The arrays are
-    read-only.
+    queens holds each iteration's best selection (0-based columns), and
+    queen_rates her users' rates. raw_scores is the undiscounted objective
+    scalar of that queen: sum rate, served-user rate sum, or served-user
+    count depending on the objective. weighted_bases is the rate sum that the
+    delay factor (1 - alpha*K) multiplies: the raw scores themselves, and the
+    same array, for the rate-sum objectives; the served-rate sums for the
+    count objective, recorded for reporting even though the search ranks by
+    count. The arrays are C-contiguous and read-only.
     """
 
-    queens: np.ndarray         # (N_it, N) int64, 0-based
-    raw_scores: np.ndarray     # (N_it,)
-    weighted_bases: np.ndarray # (N_it,)
+    queens: np.ndarray          # (R, N_it, N) int64, 0-based
+    raw_scores: np.ndarray      # (R, N_it)
+    weighted_bases: np.ndarray  # (R, N_it)
+    queen_rates: np.ndarray     # (R, N_it, N)
     alpha: float
 
-    @property
-    def n_it(self) -> int:
-        return self.raw_scores.size
-
     def weighted_scores(self, alpha: float | None = None) -> np.ndarray:
-        """Delay-weighted score per iteration, optionally under a different alpha."""
+        """(R, N_it) delay-weighted score per iteration, optionally under a different alpha."""
         return delay_weighted(self.weighted_bases, self.alpha if alpha is None else alpha)
-
-    @property
-    def final_raw(self) -> float:
-        return float(self.raw_scores[-1])
-
-
-def _owned(column: np.ndarray) -> np.ndarray:
-    """A read-only copy of one realization's column of a block array, holding no reference to the block."""
-    out = column.copy()
-    out.flags.writeable = False
-    return out
 
 
 def ga_run(evaluators: Sequence[SelectionEvaluator],
-           rngs: Sequence[np.random.Generator]) -> list[GaTrajectory]:
+           rngs: Sequence[np.random.Generator]) -> GaTrajectory:
     """Run the elitist genetic search on a block of realizations in lockstep.
 
     evaluators[r] holds realization r's channel and rngs[r] its search
@@ -288,8 +274,8 @@ def ga_run(evaluators: Sequence[SelectionEvaluator],
     one gather scores every realization's members, and the keys of as many
     generations as fit in KEY_CHUNK_BYTES, counted over the block, are drawn
     from each stream and ranked at once. Neither changes a selection (see
-    STREAM_LAYOUT), so a realization's trajectory does not depend on the
-    block around it.
+    STREAM_LAYOUT), so row r of the trajectory does not depend on the block
+    around it.
     """
     if not evaluators or len(evaluators) != len(rngs):
         raise ValueError(f"ga_run needs one stream per evaluator, got {len(evaluators)} "
@@ -304,10 +290,9 @@ def ga_run(evaluators: Sequence[SelectionEvaluator],
     offsets = (np.arange(r) * n_vec)[:, None, None]
     lanes = np.arange(r)
     pop = np.stack([init_population(cfg, rng) for rng in rngs])  # (R, L, N)
-    queens = np.empty((cfg.N_it, r, n), dtype=np.int64)
-    raw = np.empty((cfg.N_it, r), dtype=np.float64)
-    counting = kind is ObjectiveKind.OUTAGE_COUNT
-    queen_rates = np.empty((cfg.N_it, r, n)) if counting else None
+    queens = np.empty((r, cfg.N_it, n), dtype=np.int64)
+    raw = np.empty((r, cfg.N_it), dtype=np.float64)
+    queen_rates = np.empty((r, cfg.N_it, n), dtype=np.float64)
     # Each later generation takes a fixed run of keys: N_vec per mutant (none
     # when N_vec == 1, whose one selection has no mutants to rank), then N_vec
     # per fresh member. A chunk of generations is drawn and ranked at once.
@@ -319,10 +304,10 @@ def ga_run(evaluators: Sequence[SelectionEvaluator],
         batch = _score_rows(table, (pop + offsets).reshape(-1, n), ev0._p_over_m, kind, ev0._min_rate)
         best = rank_best(kind, batch.raw.reshape(r, -1), batch.user_rates.reshape(r, -1, n))
         rows = lanes * cfg.L + best
-        queens[it] = pop[lanes, best]
-        raw[it] = batch.raw[rows]
-        if counting:
-            queen_rates[it] = batch.user_rates[rows]
+        queen = pop[lanes, best]
+        queens[:, it] = queen
+        raw[:, it] = batch.raw[rows]
+        queen_rates[:, it] = batch.user_rates[rows]
         if it + 1 == cfg.N_it:
             break
         j = it % span
@@ -333,18 +318,16 @@ def ga_run(evaluators: Sequence[SelectionEvaluator],
             chunk = keys[:, :g]
             slots, picks = rank_mutation_keys(chunk[..., :s * width].reshape(r, g, s, width), cfg)
             fresh = chunk[..., s * width:].reshape(r, g, -1, n_vec).argsort(axis=-1)[..., :n]
-        pop[:, 0] = queens[it]
-        pop[:, 1:s + 1] = mutate(queens[it], slots[:, j], picks[:, j], n_vec)
+        pop[:, 0] = queen
+        pop[:, 1:s + 1] = mutate(queen, slots[:, j], picks[:, j], n_vec)
         pop[:, s + 1:] = fresh[:, j]
-    if counting:
-        bases = EvalBatch(kind, queen_rates.reshape(-1, n), ev0._min_rate).weighted_base.reshape(cfg.N_it, r)
-    trajs = []
-    for i in range(r):
-        raw_i = _owned(raw[:, i])
-        trajs.append(GaTrajectory(queens=_owned(queens[:, i]), raw_scores=raw_i,
-                                  weighted_bases=_owned(bases[:, i]) if counting else raw_i,
-                                  alpha=cfg.alpha))
-    return trajs
+    bases = raw
+    if kind is ObjectiveKind.OUTAGE_COUNT:
+        bases = EvalBatch(kind, queen_rates.reshape(-1, n), ev0._min_rate).weighted_base.reshape(r, -1)
+    for arr in (queens, raw, bases, queen_rates):
+        arr.flags.writeable = False
+    return GaTrajectory(queens=queens, raw_scores=raw, weighted_bases=bases, queen_rates=queen_rates,
+                        alpha=cfg.alpha)
 
 
 def search_space_size(cfg: SystemConfig) -> int:

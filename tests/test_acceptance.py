@@ -47,13 +47,13 @@ def _verdict(num: int, name: str, checks: list[tuple[bool, str]]) -> None:
 
 @pytest.fixture(scope="module")
 def convergence_trajectories():
-    """200 search trajectories of the reference convergence scenario."""
+    """One block of 200 search trajectories of the reference convergence scenario."""
     cfg = SystemConfig(M=32, N=8, N_vec=128, k=0.0, P_dB=10.0, alpha=0.001,
                        N_it=500, seed=SEED)
     t0 = time.perf_counter()
-    trajs = ga_run([SelectionEvaluator(cfg, realize_channel(cfg, r)) for r in range(200)],
-                   [stream_rng(SEED, r, STREAM_SEARCH) for r in range(200)])
-    return trajs, time.perf_counter() - t0
+    traj = ga_run([SelectionEvaluator(cfg, realize_channel(cfg, r)) for r in range(200)],
+                  [stream_rng(SEED, r, STREAM_SEARCH) for r in range(200)])
+    return traj, time.perf_counter() - t0
 
 
 def test_c01_oracle_equivalence():
@@ -63,12 +63,12 @@ def test_c01_oracle_equivalence():
     attained = 0
     gaps = []
     evs = [SelectionEvaluator(cfg, realize_channel(cfg, r)) for r in range(200)]
-    trajs = ga_run(evs, [stream_rng(SEED, r, STREAM_SEARCH) for r in range(200)])
-    for ev, traj in zip(evs, trajs):
+    traj = ga_run(evs, [stream_rng(SEED, r, STREAM_SEARCH) for r in range(200)])
+    for ev, found in zip(evs, traj.raw_scores[:, -1].tolist()):
         ((_, opt),) = exhaustive_search([ev])
-        if abs(traj.final_raw - opt) <= 1e-9 * max(1.0, abs(opt)):
+        if abs(found - opt) <= 1e-9 * max(1.0, abs(opt)):
             attained += 1
-        gaps.append(max(0.0, opt - traj.final_raw) / abs(opt))
+        gaps.append(max(0.0, opt - found) / abs(opt))
     elapsed = time.perf_counter() - t0
     frac = attained / 200
     mean_gap = float(np.mean(gaps))
@@ -80,8 +80,8 @@ def test_c01_oracle_equivalence():
 
 
 def test_c02_fast_convergence(convergence_trajectories):
-    trajs, build_seconds = convergence_trajectories
-    k95 = [convergence_iteration(t, alpha=0.0, tol=0.05) for t in trajs[:100]]
+    traj, build_seconds = convergence_trajectories
+    k95 = convergence_iteration(traj, alpha=0.0, tol=0.05)[:100]
     med = float(np.median(k95))
     _verdict(2, "fast convergence", [
         (med <= 200.0, f"median first-95% iteration {med:g} over 100 realizations (need <= 200)"),
@@ -90,8 +90,8 @@ def test_c02_fast_convergence(convergence_trajectories):
 
 
 def test_c03_delay_tradeoff_shape(convergence_trajectories):
-    trajs, _ = convergence_trajectories
-    mean_curve = np.mean([t.weighted_scores() for t in trajs], axis=0)
+    traj, _ = convergence_trajectories
+    mean_curve = traj.weighted_scores().mean(axis=0)
     peak = int(np.argmax(mean_curve)) + 1
     rng = np.random.default_rng(0)
     zeros_exact = all(throughput(rng.random(8) * 10.0, 0.001, 1000) == 0.0 for _ in range(5))
@@ -102,9 +102,9 @@ def test_c03_delay_tradeoff_shape(convergence_trajectories):
 
 
 def test_c04_convergence_iteration_ordering(convergence_trajectories):
-    trajs, _ = convergence_trajectories
-    k_delay = float(np.mean([convergence_iteration(t) for t in trajs]))
-    k_free = float(np.mean([convergence_iteration(t, alpha=0.0, tol=0.0) for t in trajs]))
+    traj, _ = convergence_trajectories
+    k_delay = float(np.mean(convergence_iteration(traj)))
+    k_free = float(np.mean(convergence_iteration(traj, alpha=0.0, tol=0.0)))
     ratio = k_free / k_delay
     _verdict(4, "iterations-to-convergence ordering", [
         (10.0 <= k_delay <= 150.0, f"avg K* (delay-weighted) = {k_delay:.1f} (band [10, 150])"),
@@ -217,9 +217,9 @@ def test_c10_invariant_suite():
 
     # elitism: best score never decreases
     cfg = SystemConfig(M=16, N=4, N_vec=32, N_it=40, seed=SEED)
-    trajs = ga_run([SelectionEvaluator(cfg, realize_channel(cfg, r)) for r in range(15)],
-                   [stream_rng(SEED, r, STREAM_SEARCH) for r in range(15)])
-    mono = all(bool(np.all(np.diff(traj.raw_scores) >= 0)) for traj in trajs)
+    traj = ga_run([SelectionEvaluator(cfg, realize_channel(cfg, r)) for r in range(15)],
+                  [stream_rng(SEED, r, STREAM_SEARCH) for r in range(15)])
+    mono = bool(np.all(np.diff(traj.raw_scores, axis=-1) >= 0))
     checks.append((mono, "elitism keeps best score non-decreasing (15 runs)"))
 
     # 1e5 mutations keep selections valid

@@ -185,16 +185,17 @@ GA_REALIZATIONS = 3
 def ga_digest(shape: str) -> str:
     """SHA-256 of the queens, raw scores and weighted bases of GA_REALIZATIONS runs.
 
-    The runs advance as one ga_run block. The queens are hashed 1-based
-    (queens + 1), the convention they were stored in when GA_GOLDEN was
-    recorded, so the digests stay comparable.
+    The runs advance as one ga_run block and are hashed realization by
+    realization. The queens are hashed 1-based (queens + 1), the convention
+    they were stored in when GA_GOLDEN was recorded, so the digests stay
+    comparable.
     """
     cfg = SystemConfig(**GA_SHAPES[shape], N_it=30, L=10, S=5, P_dB=10.0, seed=2024)
-    trajs = ga_run([SelectionEvaluator(cfg, realize_channel(cfg, r)) for r in range(GA_REALIZATIONS)],
-                   [stream_rng(cfg.seed, r, STREAM_SEARCH) for r in range(GA_REALIZATIONS)])
+    traj = ga_run([SelectionEvaluator(cfg, realize_channel(cfg, r)) for r in range(GA_REALIZATIONS)],
+                  [stream_rng(cfg.seed, r, STREAM_SEARCH) for r in range(GA_REALIZATIONS)])
     digest = hashlib.sha256()
-    for traj in trajs:
-        for arr in (traj.queens + 1, traj.raw_scores, traj.weighted_bases):
+    for r in range(GA_REALIZATIONS):
+        for arr in (traj.queens[r] + 1, traj.raw_scores[r], traj.weighted_bases[r]):
             digest.update(arr.tobytes())
     return digest.hexdigest()
 
@@ -270,10 +271,10 @@ def test_ga_block_matches_blocks_of_one(shape):
                        P_dB=10.0, seed=2024)
     evs = [SelectionEvaluator(cfg, realize_channel(cfg, r)) for r in range(4)]
     block = ga_run(evs, [stream_rng(cfg.seed, r, STREAM_SEARCH) for r in range(4)])
-    for r, traj in enumerate(block):
-        (alone,) = ga_run([evs[r]], [stream_rng(cfg.seed, r, STREAM_SEARCH)])
-        for field in ("queens", "raw_scores", "weighted_bases"):
-            assert getattr(traj, field).tobytes() == getattr(alone, field).tobytes(), (r, field)
+    for r in range(4):
+        alone = ga_run([evs[r]], [stream_rng(cfg.seed, r, STREAM_SEARCH)])
+        for field in ("queens", "raw_scores", "weighted_bases", "queen_rates"):
+            assert getattr(block, field)[r].tobytes() == getattr(alone, field)[0].tobytes(), (r, field)
 
 
 @pytest.mark.parametrize("generations", [1, 7])

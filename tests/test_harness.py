@@ -26,10 +26,12 @@ from beamsel.search import STREAM_LAYOUT, GaTrajectory, SearchSpaceError, Select
 from scalar_oracle import served_stats
 
 
-def _traj(raw, alpha=0.0, n=2):
-    raw = np.asarray(raw, dtype=np.float64)
-    queens = np.tile(np.arange(n), (raw.size, 1))
-    return GaTrajectory(queens=queens, raw_scores=raw, weighted_bases=raw.copy(), alpha=alpha)
+def _traj(*rows, alpha=0.0, n=2):
+    """A block trajectory with one row of raw scores per realization."""
+    raw = np.array(rows, dtype=np.float64)
+    queens = np.broadcast_to(np.arange(n), (*raw.shape, n))
+    return GaTrajectory(queens=queens, raw_scores=raw, weighted_bases=raw.copy(),
+                        queen_rates=np.ones(queens.shape), alpha=alpha)
 
 
 def _base(**kw):
@@ -39,23 +41,24 @@ def _base(**kw):
 
 
 def test_convergence_iteration_no_delay_rule():
-    assert convergence_iteration(_traj([1.0, 2.0, 3.0, 3.0, 3.0]), alpha=0.0) == 3
-    assert convergence_iteration(_traj([5.0, 5.0, 5.0]), alpha=0.0) == 1
-    # 5% slack: 2.85 is within tolerance of the final 3.0
-    assert convergence_iteration(_traj([1.0, 2.85, 2.9, 3.0]), alpha=0.0, tol=0.05) == 2
+    assert convergence_iteration(_traj([1.0, 2.0, 3.0, 3.0, 3.0]), alpha=0.0).tolist() == [3]
+    assert convergence_iteration(_traj([5.0, 5.0, 5.0]), alpha=0.0).tolist() == [1]
+    # 5% slack: 2.85 is within tolerance of the final 3.0; each row has its own final score
+    block = _traj([1.0, 2.85, 2.9, 3.0], [1.0, 2.0, 3.0, 3.0])
+    assert convergence_iteration(block, alpha=0.0, tol=0.05).tolist() == [2, 3]
 
 
 def test_convergence_iteration_weighted_rule():
     # weighted scores (1 - 0.1K) * base peak at K = 3
     traj = _traj([1.0, 2.0, 3.0, 3.0, 3.0], alpha=0.1)
-    assert convergence_iteration(traj) == 3
+    assert convergence_iteration(traj).tolist() == [3]
     # flat raw curve: the delay factor makes earlier strictly better
-    assert convergence_iteration(_traj([4.0, 4.0, 4.0], alpha=0.01)) == 1
+    assert convergence_iteration(_traj([4.0, 4.0, 4.0], alpha=0.01)).tolist() == [1]
 
 
 def test_convergence_iteration_explicit_alpha_overrides():
     traj = _traj([1.0, 2.0, 3.0, 3.0], alpha=0.1)
-    assert convergence_iteration(traj, alpha=0.0) == 3
+    assert convergence_iteration(traj, alpha=0.0).tolist() == [3]
 
 
 def test_rate_cdf_pairs():
@@ -120,51 +123,77 @@ def test_experiment_points():
 
 
 def test_point_search_uses_point_threshold_and_alpha():
-    # Under every objective the served count and the constrained rates at K*
-    # must match scalar_oracle.served_stats at the point's own theta_dB. The
-    # count objective's raw score is that count, and with alpha = 0 the K*
-    # queen holds the final score.
-    base = _base(N=4, P_dB=0.0, alpha=0.0, realizations=1)
+    # A block of 6 realizations whose K* differ. Under every objective each
+    # realization's served count and constrained rates at K* must have the
+    # bits of its K* queen, found by a run of its own, scored again through
+    # evaluate at the point's own theta_dB, and must match
+    # scalar_oracle.served_stats. With alpha > 0 some runs crown a new queen
+    # after K*, so the last iteration's queen would give other rates. The
+    # count objective's raw score is the served count.
+    base = _base(N=4, P_dB=10.0, alpha=0.02, realizations=6)
     for kind in ObjectiveKind:
         ec = ExperimentConfig(base=base, objective_kind=kind,
                               sweep_key="theta_dB", sweep_values=(-3.0, 6.0))
+        result = run_experiment(ec)
         served = []
-        for _, cfg in ec.points():
-            ((outcome,),) = _run_realization(ec, [cfg], [0])
-            ev = SelectionEvaluator(cfg, realize_channel(cfg, 0), kind)
-            (traj,) = ga_run([ev], [stream_rng(cfg.seed, 0, STREAM_SEARCH)])
-            queen = traj.queens[outcome.kstar - 1]
-            r = ev.evaluate(queen).user_rates[0]
-            count, flags = served_stats(r, cfg.theta_dB)
-            assert outcome.served == count
-            assert outcome.user_rates_constrained.tobytes() == np.where(flags, 0.0, r).tobytes()
-            if kind is ObjectiveKind.OUTAGE_COUNT:
-                assert outcome.served == outcome.raw_curve[outcome.kstar - 1]
-            served.append(outcome.served)
+        for pt in result.points:
+            cfg = pt.cfg
+            assert len(set(pt.convergence_iterations.tolist())) > 1
+            moved_after = 0
+            for r in range(cfg.realizations):
+                ev = SelectionEvaluator(cfg, realize_channel(cfg, r), kind)
+                alone = ga_run([ev], [stream_rng(cfg.seed, r, STREAM_SEARCH)])
+                (kstar,) = convergence_iteration(alone)
+                assert pt.convergence_iterations[r] == kstar
+                moved_after += bool(np.any(alone.queens[0, kstar - 1] != alone.queens[0, -1]))
+                at_kstar = ev.evaluate(alone.queens[0, kstar - 1])
+                rates = pt.rate_samples[r * cfg.N:(r + 1) * cfg.N]
+                assert pt.served_counts[r] == at_kstar.served[0]
+                assert rates.tobytes() == at_kstar.served_rates[0].tobytes()
+                count, flags = served_stats(at_kstar.user_rates[0], cfg.theta_dB)
+                assert pt.served_counts[r] == count
+                assert rates.tobytes() == np.where(flags, 0.0, at_kstar.user_rates[0]).tobytes()
+                if kind is ObjectiveKind.OUTAGE_COUNT:
+                    assert pt.served_counts[r] == alone.raw_scores[0, kstar - 1]
+            assert moved_after > 0
+            served.append(pt.avg_served_users)
         assert served[0] > served[1]  # the two thresholds serve different counts
-    # Under the rate-sum objective the weighted curve is (1 - alpha*K) times the raw one.
-    ec = ExperimentConfig(base=_base(realizations=1), sweep_key="alpha", sweep_values=(0.0, 0.01))
+    # Under the rate-sum objective the weighted curves are (1 - alpha*K) times the raw ones.
+    ec = ExperimentConfig(base=_base(realizations=3), sweep_key="alpha", sweep_values=(0.0, 0.01))
     for _, cfg in ec.points():
-        ((outcome,),) = _run_realization(ec, [cfg], [0])
+        ((traj, _),) = _run_realization(ec, [cfg], range(3))
         k = np.arange(1, cfg.N_it + 1)
-        np.testing.assert_array_equal(outcome.weighted_curve, (1.0 - cfg.alpha * k) * outcome.raw_curve)
+        np.testing.assert_array_equal(traj.weighted_scores(), (1.0 - cfg.alpha * k) * traj.raw_scores)
 
 
 def test_one_evaluator_per_realization(monkeypatch):
-    # The GA, the K* rescoring and both baselines share one gain table.
-    builds = []
+    # The GA, the K* statistics and both baselines share one gain table, and
+    # the points of a group share each realization's channel. Each point
+    # still builds its own gain table from it.
+    builds, realized = [], []
     init = SelectionEvaluator.__init__
 
     def counting_init(self, *args, **kwargs):
         builds.append(args)
         init(self, *args, **kwargs)
 
+    def counting_realize(cfg, index):
+        realized.append(index)
+        return realize_channel(cfg, index)
+
     monkeypatch.setattr(SelectionEvaluator, "__init__", counting_init)
+    monkeypatch.setattr(harness, "realize_channel", counting_realize)
     ec = ExperimentConfig(base=_base(M=4, N=2, N_vec=8, N_it=5, realizations=3),
                           baselines=("random", "exhaustive"))
     result = run_experiment(ec)
     assert not result.errors and set(result.points[0].baseline_means) == {"random", "exhaustive"}
-    assert len(builds) == 3
+    assert len(builds) == 3 and realized == [0, 1, 2]
+    builds.clear()
+    realized.clear()
+    result = run_experiment(replace(ec, sweep_key="theta_dB", sweep_values=(-3.0, 0.0, 3.0)))
+    assert not result.errors and len(result.points) == 3
+    assert realized == [0, 1, 2]
+    assert len(builds) == 9
 
 
 def test_run_experiment_shapes_and_determinism():
@@ -381,9 +410,10 @@ def test_group_wall_time_is_split_evenly():
 def test_aggregate_is_order_insensitive():
     cfg = _base(N_it=15, realizations=3)
     ec = ExperimentConfig(base=cfg)
-    (outcomes,) = _run_realization(ec, [cfg], range(3))
-    fwd = _aggregate(None, cfg, outcomes, 0.0)
-    rev = _aggregate(None, cfg, list(reversed(outcomes)), 0.0)
+    # three blocks of one realization each, aggregated forwards and backwards
+    parts = [_run_realization(ec, [cfg], [i])[0] for i in range(3)]
+    fwd = _aggregate(ec, None, cfg, parts, 0.0)
+    rev = _aggregate(ec, None, cfg, parts[::-1], 0.0)
     np.testing.assert_allclose(fwd.mean_weighted_curve, rev.mean_weighted_curve, rtol=1e-12)
     assert fwd.mean_final_throughput == pytest.approx(rev.mean_final_throughput, rel=1e-12)
     assert fwd.empirical_outage_prob == rev.empirical_outage_prob

@@ -109,9 +109,8 @@ def _mutants(parent, count, cfg, rng):
 
 
 def _ga(ev, rng):
-    """One realization's trajectory: a ga_run block of one."""
-    (traj,) = ga_run([ev], [rng])
-    return traj
+    """One realization's trajectory: a ga_run block of one, whose arrays have a leading axis of 1."""
+    return ga_run([ev], [rng])
 
 
 def _changed_slots(children, parent):
@@ -401,8 +400,8 @@ def test_ga_scores_never_decrease():
     cfg = _cfg(M=16, N=4, N_vec=32, N_it=60)
     h = _channel(cfg)
     traj = _ga(SelectionEvaluator(cfg, h), stream_rng(cfg.seed, 0, STREAM_SEARCH))
-    assert traj.n_it == 60
-    assert np.all(np.diff(traj.raw_scores) >= 0.0)
+    assert traj.raw_scores.shape == (1, 60)
+    assert np.all(np.diff(traj.raw_scores, axis=-1) >= 0.0)
 
 
 def test_ga_deterministic_given_stream():
@@ -431,12 +430,14 @@ def test_ga_trajectory_accounting():
     h = _channel(cfg)
     ev = SelectionEvaluator(cfg, h)
     traj = _ga(ev, stream_rng(1, 0, STREAM_SEARCH))
-    assert traj.queens.shape == (20, 2) and traj.queens.dtype == np.int64
+    assert traj.queens.shape == (1, 20, 2) and traj.queens.dtype == np.int64
     # every queen is a valid 0-based selection: distinct columns in [0, N_vec)
-    assert all(len(set(q.tolist())) == 2 for q in traj.queens)
+    assert all(len(set(q.tolist())) == 2 for q in traj.queens[0])
     assert traj.queens.min() >= 0
     assert traj.queens.max() < 16
-    assert float(ev.evaluate(traj.queens[-1]).raw[0]) == pytest.approx(traj.final_raw, rel=1e-14)
+    assert float(ev.evaluate(traj.queens[0, -1]).raw[0]) == pytest.approx(traj.raw_scores[0, -1], rel=1e-14)
+    # each iteration's queen_rates are her users' rates, with evaluate's bits
+    assert ev.evaluate(traj.queens[0]).user_rates.tobytes() == traj.queen_rates[0].tobytes()
 
 
 def test_ga_weighted_scores_match_raw_for_zero_alpha():
@@ -471,15 +472,17 @@ def test_ga_run_draws_a_fixed_number_of_keys(shape):
 
 @pytest.mark.parametrize("kind", list(ObjectiveKind))
 def test_ga_trajectories_own_read_only_rows(kind):
-    # A trajectory must not keep its block alive, and a rate-sum objective's
-    # weighted bases are its raw scores, stored once.
+    # A block holds one C-contiguous, read-only row per realization, so a
+    # mean over realizations adds them in index order, and a rate-sum
+    # objective's weighted bases are its raw scores, stored once.
     cfg = _cfg(N_it=12, theta_dB=0.0)
-    trajs = ga_run([SelectionEvaluator(cfg, _channel(cfg, r), kind) for r in range(3)],
-                   [np.random.default_rng(r) for r in range(3)])
-    for traj in trajs:
-        for arr in (traj.queens, traj.raw_scores, traj.weighted_bases):
-            assert arr.base is None and arr.flags.c_contiguous and not arr.flags.writeable
-        assert (traj.weighted_bases is traj.raw_scores) == (kind is not ObjectiveKind.OUTAGE_COUNT)
+    traj = ga_run([SelectionEvaluator(cfg, _channel(cfg, r), kind) for r in range(3)],
+                  [np.random.default_rng(r) for r in range(3)])
+    assert traj.queens.shape == traj.queen_rates.shape == (3, 12, cfg.N)
+    assert traj.raw_scores.shape == traj.weighted_bases.shape == (3, 12)
+    for arr in (traj.queens, traj.raw_scores, traj.weighted_bases, traj.queen_rates):
+        assert arr.flags.c_contiguous and not arr.flags.writeable
+    assert (traj.weighted_bases is traj.raw_scores) == (kind is not ObjectiveKind.OUTAGE_COUNT)
 
 
 def test_ga_run_needs_one_config_objective_and_stream_per_evaluator():
@@ -649,8 +652,9 @@ def test_ga_attains_small_instance_optimum_most_of_the_time():
         ev = SelectionEvaluator(cfg, realize_channel(cfg, r))
         ((_, opt),) = exhaustive_search([ev])
         traj = _ga(ev, stream_rng(cfg.seed, r, STREAM_SEARCH))
-        assert traj.final_raw <= opt + 1e-9  # can never beat the true optimum
-        if traj.final_raw >= opt - 1e-9:
+        final = traj.raw_scores[0, -1]
+        assert final <= opt + 1e-9  # can never beat the true optimum
+        if final >= opt - 1e-9:
             hits += 1
     assert hits >= int(0.9 * trials)
 
@@ -663,7 +667,7 @@ def test_ga_beats_matched_budget_random_search_on_average():
         ev = SelectionEvaluator(cfg, realize_channel(cfg, r))
         traj = _ga(ev, stream_rng(cfg.seed, r, STREAM_SEARCH))
         ((_, found),) = random_search([ev], cfg.L * cfg.N_it, stream_rng(cfg.seed, r, 2))
-        ga_scores.append(traj.final_raw)
+        ga_scores.append(traj.raw_scores[0, -1])
         rs_scores.append(found)
     assert np.mean(ga_scores) > np.mean(rs_scores)
 
@@ -679,6 +683,6 @@ def test_count_objective_serves_at_least_as_many_users():
         ev = SelectionEvaluator(cfg, h, ObjectiveKind.OUTAGE_COUNT)
         t_count = _ga(ev, stream_rng(cfg.seed, r, STREAM_SEARCH))
         t_thr = _ga(SelectionEvaluator(cfg, h), stream_rng(cfg.seed, r, STREAM_SEARCH))
-        served_count.append(t_count.raw_scores[-1])
-        served_thr.append(int(ev.evaluate(t_thr.queens[-1]).served[0]))
+        served_count.append(t_count.raw_scores[0, -1])
+        served_thr.append(int(ev.evaluate(t_thr.queens[0, -1]).served[0]))
     assert np.mean(served_count) >= np.mean(served_thr)
