@@ -28,7 +28,6 @@ from .search import (
     EvalBatch,
     GaTrajectory,
     SelectionEvaluator,
-    delay_weighted,
     exhaustive_search,
     ga_run,
     random_search,
@@ -163,18 +162,25 @@ class ExperimentConfig:
         return errs
 
 
-def convergence_iteration(traj: GaTrajectory, alpha: float | None = None, tol: float = 0.0) -> np.ndarray:
-    """(R,) iteration the experiment reports as the stopping point of each run of a block.
+def delay_weighted(bases: np.ndarray, alpha: float) -> np.ndarray:
+    """(1 - alpha*K) * bases[..., K - 1] for K = 1..N_it along the last axis: the delay-weighted curves."""
+    k = np.arange(1, bases.shape[-1] + 1, dtype=np.float64)
+    return (1.0 - alpha * k) * bases
 
-    With a positive delay penalty this is the first iteration maximizing the
+
+def convergence_iteration(raw: np.ndarray, bases: np.ndarray, alpha: float, tol: float = 0.0) -> np.ndarray:
+    """(R,) iteration the experiment reports as the stopping point of each of R runs.
+
+    raw and bases are (R, N_it): each iteration's queen's raw score, and the
+    rate sum that the delay factor multiplies (EvalBatch.weighted_base). With
+    a positive delay penalty this is the first iteration maximizing the
     delay-weighted score. With alpha = 0 it is the first iteration whose raw
     score reaches (1 - tol) of the run's final raw score.
     """
-    a = traj.alpha if alpha is None else alpha
-    if a > 0:
-        return np.argmax(traj.weighted_scores(a), axis=-1) + 1
-    target = (1.0 - tol) * traj.raw_scores[:, -1:]
-    return np.argmax(traj.raw_scores >= target, axis=-1) + 1
+    if alpha > 0:
+        return np.argmax(delay_weighted(bases, alpha), axis=-1) + 1
+    target = (1.0 - tol) * raw[:, -1:]
+    return np.argmax(raw >= target, axis=-1) + 1
 
 
 def rate_cdf(samples: np.ndarray) -> list[tuple[float, float]]:
@@ -311,34 +317,29 @@ def _aggregate(ec: ExperimentConfig, sweep_value: float | None, cfg: SystemConfi
                parts: list[tuple[GaTrajectory, dict[str, np.ndarray]]], wall: float) -> SweepPointResult:
     """One point's statistics from its blocks' (trajectory, baseline scores), concatenated in the given order.
 
-    Every mean over realizations reduces a C-contiguous (R, N_it) array, so
-    numpy adds its rows in index order. The served counts and rates at K*
-    are her queen's recorded rates under the point's own threshold.
+    Every score comes from the queens' recorded rates, under the point's own
+    objective and threshold. Every mean over realizations reduces a
+    C-contiguous (R, N_it) array, so numpy adds its rows in index order.
     """
-    def cat(name: str) -> np.ndarray:
-        return np.concatenate([getattr(traj, name) for traj, _ in parts])
-
-    raw = cat("raw_scores")
-    shared = parts[0][0].weighted_bases is parts[0][0].raw_scores
-    traj = GaTrajectory(queens=cat("queens"), raw_scores=raw,
-                        weighted_bases=raw if shared else cat("weighted_bases"),
-                        queen_rates=cat("queen_rates"), alpha=cfg.alpha)
-    weighted = traj.weighted_scores()
-    kstar = convergence_iteration(traj)
-    at_kstar = EvalBatch(ec.objective_kind, traj.queen_rates[np.arange(raw.shape[0]), kstar - 1],
-                         min_rate_for_threshold(cfg.theta_dB))
+    rates = np.concatenate([traj.queen_rates for traj, _ in parts])
+    min_rate = min_rate_for_threshold(cfg.theta_dB)
+    scores = EvalBatch(ec.objective_kind, rates, min_rate)
+    raw, bases = scores.raw, scores.weighted_base  # one array for the rate-sum objectives
+    weighted = delay_weighted(bases, cfg.alpha)
+    kstar = convergence_iteration(raw, bases, cfg.alpha)
+    at_kstar = EvalBatch(ec.objective_kind, rates[np.arange(raw.shape[0]), kstar - 1], min_rate)
     example_raw = raw[0].copy()
     return SweepPointResult(
         sweep_value=sweep_value,
         cfg=cfg,
         mean_weighted_curve=weighted.mean(axis=0),
         mean_raw_curve=raw.mean(axis=0),
-        example_weighted_bases=example_raw if shared else traj.weighted_bases[0].copy(),
+        example_weighted_bases=example_raw if bases is raw else bases[0].copy(),
         example_raw_curve=example_raw,
         final_throughputs=weighted.max(axis=1),
         final_raws=raw[:, -1].copy(),
         convergence_iterations=kstar,
-        convergence_iterations_no_delay=convergence_iteration(traj, alpha=0.0, tol=ec.convergence_tol),
+        convergence_iterations_no_delay=convergence_iteration(raw, bases, 0.0, ec.convergence_tol),
         served_counts=at_kstar.served,
         rate_samples=at_kstar.served_rates.ravel(),
         baseline_scores={name: np.concatenate([scores[name] for _, scores in parts])
@@ -416,13 +417,13 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
             f.write(",".join(_fmt(c) for c in row) + "\n")
 
 
-def _config_as_dict(cfg: SystemConfig) -> dict:
-    d = {key: getattr(cfg.pa if e.owner == "pa" else cfg, e.field)
-         for key, e in CONFIG_KEYS.items() if e.owner != "experiment"}
-    # JSON has no inf literal; keep the sidecar loadable by strict parsers.
-    if math.isinf(d["pa_rho_max_dB"]):
-        d["pa_rho_max_dB"] = "inf"
-    return d
+def _strict_json(value):
+    """value with each non-finite float as its repr ("inf", "-inf", "nan"), so strict JSON parsers load it."""
+    if isinstance(value, dict):
+        return {k: _strict_json(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_strict_json(v) for v in value]
+    return repr(float(value)) if isinstance(value, float) and not math.isfinite(value) else value
 
 
 def write_result_files(result: ExperimentResult, out_dir) -> list[Path]:
@@ -488,7 +489,8 @@ def write_result_files(result: ExperimentResult, out_dir) -> list[Path]:
         "sweep_values": list(ec.sweep_values),
         "baselines": list(ec.baselines),
         "convergence_tol": ec.convergence_tol,
-        "base_config": _config_as_dict(ec.base),
+        "base_config": {key: getattr(ec.base.pa if e.owner == "pa" else ec.base, e.field)
+                        for key, e in CONFIG_KEYS.items() if e.owner != "experiment"},
         "seed": ec.base.seed,
         "stream_layout": STREAM_LAYOUT,
         "workers": result.workers,
@@ -502,7 +504,7 @@ def write_result_files(result: ExperimentResult, out_dir) -> list[Path]:
     }
     prov_path = out / "provenance.json"
     with open(prov_path, "w", encoding="utf-8", newline="\n") as f:
-        json.dump(provenance, f, indent=2, sort_keys=True)
+        json.dump(_strict_json(provenance), f, indent=2, sort_keys=True, allow_nan=False)
         f.write("\n")
     written.append(prov_path)
     return written

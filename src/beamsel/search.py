@@ -51,18 +51,19 @@ def n_replaced(mutation_fraction: float, n: int) -> int:
 class EvalBatch:
     """Scores for a batch of candidate selections under one objective.
 
-    Scoring computes only what ranking reads: raw, which for the count
-    objective is the served counts. The other fields are derived from
-    user_rates on first read. Every per-member sum runs over that member's
-    own C-contiguous row, so a member's scores do not depend on the batch
-    around it.
+    user_rates is (..., N): any leading axes index the members, and each
+    score has their shape. Scoring computes only what ranking reads: raw,
+    which for the count objective is the served counts. The other fields are
+    derived from user_rates on first read. Every per-member sum runs over
+    that member's own C-contiguous row, so a member's scores do not depend
+    on the batch around it or on its shape.
     """
 
     def __init__(self, kind: ObjectiveKind, user_rates: np.ndarray, min_rate: float):
         self.kind = kind
-        self.user_rates = user_rates  # (B, N)
+        self.user_rates = user_rates  # (..., N)
         self._min_rate = min_rate
-        # (B,) undiscounted objective scalar
+        # (...,) undiscounted objective scalar
         if kind is ObjectiveKind.THROUGHPUT:
             self.raw = self.total_sum
         elif kind is ObjectiveKind.OUTAGE_THROUGHPUT:
@@ -72,29 +73,31 @@ class EvalBatch:
 
     @functools.cached_property
     def total_sum(self) -> np.ndarray:
-        """(B,) plain sum rate, the count objective's tie-break."""
-        return self.user_rates.sum(axis=1)
+        """(...,) plain sum rate, the count objective's tie-break."""
+        return self.user_rates.sum(axis=-1)
 
     @functools.cached_property
     def served_rates(self) -> np.ndarray:
-        """(B, N) user_rates with the users below the rate threshold zeroed."""
+        """(..., N) user_rates with the users below the rate threshold zeroed."""
         return np.where(self.user_rates >= self._min_rate, self.user_rates, 0.0)
 
     @functools.cached_property
     def weighted_base(self) -> np.ndarray:
-        """(B,) the sum that (1 - alpha*K) multiplies: the served users' rates for outage objectives."""
+        """(...,) the rate sum the delay factor multiplies: the served users' rates for outage objectives."""
         if self.kind is ObjectiveKind.THROUGHPUT:
             return self.total_sum
-        return self.served_rates.sum(axis=1)
+        return self.served_rates.sum(axis=-1)
 
     @functools.cached_property
     def served(self) -> np.ndarray:
-        """(B,) served user counts: the users whose rate reaches the threshold.
+        """(...,) served user counts: the users whose rate reaches the threshold.
 
-        Counted over a contiguous (N, B) plane, which is much faster than a
-        short row axis; integer counts are exact in any order.
+        Counted over contiguous (N, ...) planes, which is much faster than a
+        short row axis; integer counts are exact in any order. A transpose
+        puts the user axis first at a tenth of np.moveaxis's call cost.
         """
-        return np.greater_equal(self.user_rates.T, self._min_rate, order="C").sum(axis=0)
+        users_first = self.user_rates.transpose(-1, *range(self.user_rates.ndim - 1))
+        return np.greater_equal(users_first, self._min_rate, order="C").sum(axis=0)
 
     def best_index(self) -> int:
         """Index of the best member; ties resolve to the lowest index."""
@@ -230,35 +233,17 @@ def mutate(parents: np.ndarray, slots: np.ndarray, picks: np.ndarray, n_vec: int
     return children
 
 
-def delay_weighted(bases: np.ndarray, alpha: float) -> np.ndarray:
-    """(1 - alpha*K) * bases[..., K - 1] for K = 1..N_it along the last axis: the delay-weighted curves."""
-    k = np.arange(1, bases.shape[-1] + 1, dtype=np.float64)
-    return (1.0 - alpha * k) * bases
-
-
 @dataclass(frozen=True)
 class GaTrajectory:
     """Per-iteration record of a block of genetic algorithm runs, one row per realization.
 
     queens holds each iteration's best selection (0-based columns), and
-    queen_rates her users' rates. raw_scores is the undiscounted objective
-    scalar of that queen: sum rate, served-user rate sum, or served-user
-    count depending on the objective. weighted_bases is the rate sum that the
-    delay factor (1 - alpha*K) multiplies: the raw scores themselves, and the
-    same array, for the rate-sum objectives; the served-rate sums for the
-    count objective, recorded for reporting even though the search ranks by
-    count. The arrays are C-contiguous and read-only.
+    queen_rates her users' rates, from which an EvalBatch gives every score
+    of hers. The arrays are C-contiguous and read-only.
     """
 
-    queens: np.ndarray          # (R, N_it, N) int64, 0-based
-    raw_scores: np.ndarray      # (R, N_it)
-    weighted_bases: np.ndarray  # (R, N_it)
-    queen_rates: np.ndarray     # (R, N_it, N)
-    alpha: float
-
-    def weighted_scores(self, alpha: float | None = None) -> np.ndarray:
-        """(R, N_it) delay-weighted score per iteration, optionally under a different alpha."""
-        return delay_weighted(self.weighted_bases, self.alpha if alpha is None else alpha)
+    queens: np.ndarray       # (R, N_it, N) int64, 0-based
+    queen_rates: np.ndarray  # (R, N_it, N)
 
 
 def ga_run(evaluators: Sequence[SelectionEvaluator],
@@ -291,7 +276,6 @@ def ga_run(evaluators: Sequence[SelectionEvaluator],
     lanes = np.arange(r)
     pop = np.stack([init_population(cfg, rng) for rng in rngs])  # (R, L, N)
     queens = np.empty((r, cfg.N_it, n), dtype=np.int64)
-    raw = np.empty((r, cfg.N_it), dtype=np.float64)
     queen_rates = np.empty((r, cfg.N_it, n), dtype=np.float64)
     # Each later generation takes a fixed run of keys: N_vec per mutant (none
     # when N_vec == 1, whose one selection has no mutants to rank), then N_vec
@@ -303,11 +287,9 @@ def ga_run(evaluators: Sequence[SelectionEvaluator],
     for it in range(cfg.N_it):
         batch = _score_rows(table, (pop + offsets).reshape(-1, n), ev0._p_over_m, kind, ev0._min_rate)
         best = rank_best(kind, batch.raw.reshape(r, -1), batch.user_rates.reshape(r, -1, n))
-        rows = lanes * cfg.L + best
         queen = pop[lanes, best]
         queens[:, it] = queen
-        raw[:, it] = batch.raw[rows]
-        queen_rates[:, it] = batch.user_rates[rows]
+        queen_rates[:, it] = batch.user_rates[lanes * cfg.L + best]
         if it + 1 == cfg.N_it:
             break
         j = it % span
@@ -321,13 +303,9 @@ def ga_run(evaluators: Sequence[SelectionEvaluator],
         pop[:, 0] = queen
         pop[:, 1:s + 1] = mutate(queen, slots[:, j], picks[:, j], n_vec)
         pop[:, s + 1:] = fresh[:, j]
-    bases = raw
-    if kind is ObjectiveKind.OUTAGE_COUNT:
-        bases = EvalBatch(kind, queen_rates.reshape(-1, n), ev0._min_rate).weighted_base.reshape(r, -1)
-    for arr in (queens, raw, bases, queen_rates):
+    for arr in (queens, queen_rates):
         arr.flags.writeable = False
-    return GaTrajectory(queens=queens, raw_scores=raw, weighted_bases=bases, queen_rates=queen_rates,
-                        alpha=cfg.alpha)
+    return GaTrajectory(queens=queens, queen_rates=queen_rates)
 
 
 def search_space_size(cfg: SystemConfig) -> int:

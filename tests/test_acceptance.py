@@ -26,9 +26,9 @@ from beamsel.channel import (
 )
 from beamsel.cli import main as cli_main
 from beamsel.core import PaParams, SystemConfig
-from beamsel.harness import ExperimentConfig, convergence_iteration, run_experiment
+from beamsel.harness import ExperimentConfig, convergence_iteration, delay_weighted, run_experiment
 from beamsel.metrics import ObjectiveKind, pa_output_power
-from beamsel.search import SelectionEvaluator, exhaustive_search, ga_run, mutate, rank_mutation_keys
+from beamsel.search import EvalBatch, SelectionEvaluator, exhaustive_search, ga_run, mutate, rank_mutation_keys
 from scalar_oracle import outage_throughput, pa_consumed_power, throughput
 
 SEED = 12345
@@ -45,15 +45,23 @@ def _verdict(num: int, name: str, checks: list[tuple[bool, str]]) -> None:
     assert ok, f"criterion {num} {name}: {detail}"
 
 
+def _raw_scores(traj, ev):
+    """(R, N_it) raw scores of a ga_run block's queens, from their recorded rates."""
+    return EvalBatch(ev.kind, traj.queen_rates, ev._min_rate).raw
+
+
 @pytest.fixture(scope="module")
 def convergence_trajectories():
-    """One block of 200 search trajectories of the reference convergence scenario."""
+    """Raw scores of one block of 200 search trajectories of the reference convergence scenario.
+
+    Returns them with the scenario's alpha and the seconds the block took.
+    """
     cfg = SystemConfig(M=32, N=8, N_vec=128, k=0.0, P_dB=10.0, alpha=0.001,
                        N_it=500, seed=SEED)
     t0 = time.perf_counter()
-    traj = ga_run([SelectionEvaluator(cfg, realize_channel(cfg, r)) for r in range(200)],
-                  [stream_rng(SEED, r, STREAM_SEARCH) for r in range(200)])
-    return traj, time.perf_counter() - t0
+    evs = [SelectionEvaluator(cfg, realize_channel(cfg, r)) for r in range(200)]
+    traj = ga_run(evs, [stream_rng(SEED, r, STREAM_SEARCH) for r in range(200)])
+    return _raw_scores(traj, evs[0]), cfg.alpha, time.perf_counter() - t0
 
 
 def test_c01_oracle_equivalence():
@@ -64,7 +72,7 @@ def test_c01_oracle_equivalence():
     gaps = []
     evs = [SelectionEvaluator(cfg, realize_channel(cfg, r)) for r in range(200)]
     traj = ga_run(evs, [stream_rng(SEED, r, STREAM_SEARCH) for r in range(200)])
-    for ev, found in zip(evs, traj.raw_scores[:, -1].tolist()):
+    for ev, found in zip(evs, _raw_scores(traj, evs[0])[:, -1].tolist()):
         ((_, opt),) = exhaustive_search([ev])
         if abs(found - opt) <= 1e-9 * max(1.0, abs(opt)):
             attained += 1
@@ -80,8 +88,8 @@ def test_c01_oracle_equivalence():
 
 
 def test_c02_fast_convergence(convergence_trajectories):
-    traj, build_seconds = convergence_trajectories
-    k95 = convergence_iteration(traj, alpha=0.0, tol=0.05)[:100]
+    raw, _, build_seconds = convergence_trajectories
+    k95 = convergence_iteration(raw, raw, 0.0, tol=0.05)[:100]
     med = float(np.median(k95))
     _verdict(2, "fast convergence", [
         (med <= 200.0, f"median first-95% iteration {med:g} over 100 realizations (need <= 200)"),
@@ -90,8 +98,8 @@ def test_c02_fast_convergence(convergence_trajectories):
 
 
 def test_c03_delay_tradeoff_shape(convergence_trajectories):
-    traj, _ = convergence_trajectories
-    mean_curve = traj.weighted_scores().mean(axis=0)
+    raw, alpha, _ = convergence_trajectories
+    mean_curve = delay_weighted(raw, alpha).mean(axis=0)
     peak = int(np.argmax(mean_curve)) + 1
     rng = np.random.default_rng(0)
     zeros_exact = all(throughput(rng.random(8) * 10.0, 0.001, 1000) == 0.0 for _ in range(5))
@@ -102,9 +110,9 @@ def test_c03_delay_tradeoff_shape(convergence_trajectories):
 
 
 def test_c04_convergence_iteration_ordering(convergence_trajectories):
-    traj, _ = convergence_trajectories
-    k_delay = float(np.mean(convergence_iteration(traj)))
-    k_free = float(np.mean(convergence_iteration(traj, alpha=0.0, tol=0.0)))
+    raw, alpha, _ = convergence_trajectories
+    k_delay = float(np.mean(convergence_iteration(raw, raw, alpha)))
+    k_free = float(np.mean(convergence_iteration(raw, raw, 0.0, tol=0.0)))
     ratio = k_free / k_delay
     _verdict(4, "iterations-to-convergence ordering", [
         (10.0 <= k_delay <= 150.0, f"avg K* (delay-weighted) = {k_delay:.1f} (band [10, 150])"),
@@ -217,9 +225,9 @@ def test_c10_invariant_suite():
 
     # elitism: best score never decreases
     cfg = SystemConfig(M=16, N=4, N_vec=32, N_it=40, seed=SEED)
-    traj = ga_run([SelectionEvaluator(cfg, realize_channel(cfg, r)) for r in range(15)],
-                  [stream_rng(SEED, r, STREAM_SEARCH) for r in range(15)])
-    mono = bool(np.all(np.diff(traj.raw_scores, axis=-1) >= 0))
+    evs = [SelectionEvaluator(cfg, realize_channel(cfg, r)) for r in range(15)]
+    traj = ga_run(evs, [stream_rng(SEED, r, STREAM_SEARCH) for r in range(15)])
+    mono = bool(np.all(np.diff(_raw_scores(traj, evs[0]), axis=-1) >= 0))
     checks.append((mono, "elitism keeps best score non-decreasing (15 runs)"))
 
     # 1e5 mutations keep selections valid

@@ -278,7 +278,7 @@ def _oracle_check_row(ec, tolerance=1e-9) -> str:
         ev = SelectionEvaluator(cfg, realize_channel(cfg, r), ec.objective_kind)
         ((_, opt),) = exhaustive_search([ev])
         traj = ga_run([ev], [stream_rng(cfg.seed, r, STREAM_SEARCH)])
-        found = float(traj.raw_scores[0, -1])
+        found = float(ev.evaluate(traj.queens[0, -1]).raw[0])
         gaps.append(max(0.0, opt - found) / max(abs(opt), 1e-300))
         attained += abs(found - opt) <= tolerance * max(1.0, abs(opt))
     fraction = attained / cfg.realizations

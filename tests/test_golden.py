@@ -23,7 +23,7 @@ from beamsel.channel import STREAM_SEARCH, realize_channel, stream_rng
 from beamsel.cli import main as cli_main
 from beamsel.core import SystemConfig
 from beamsel import harness, search
-from beamsel.search import SelectionEvaluator, ga_run
+from beamsel.search import EvalBatch, SelectionEvaluator, ga_run
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 OVERRIDES = ("--set", "realizations=3", "--set", "N_it=25")
@@ -183,19 +183,21 @@ GA_REALIZATIONS = 3
 
 
 def ga_digest(shape: str) -> str:
-    """SHA-256 of the queens, raw scores and weighted bases of GA_REALIZATIONS runs.
+    """SHA-256 of the queens and raw scores of GA_REALIZATIONS runs.
 
     The runs advance as one ga_run block and are hashed realization by
-    realization. The queens are hashed 1-based (queens + 1), the convention
-    they were stored in when GA_GOLDEN was recorded, so the digests stay
-    comparable.
+    realization, in the layout GA_GOLDEN was recorded in: the queens 1-based
+    (queens + 1), then the raw scores twice, since the sum rate was both the
+    raw score and the weighted base. The raw scores are the queens' sum
+    rates, taken from queen_rates.
     """
     cfg = SystemConfig(**GA_SHAPES[shape], N_it=30, L=10, S=5, P_dB=10.0, seed=2024)
-    traj = ga_run([SelectionEvaluator(cfg, realize_channel(cfg, r)) for r in range(GA_REALIZATIONS)],
-                  [stream_rng(cfg.seed, r, STREAM_SEARCH) for r in range(GA_REALIZATIONS)])
+    evs = [SelectionEvaluator(cfg, realize_channel(cfg, r)) for r in range(GA_REALIZATIONS)]
+    traj = ga_run(evs, [stream_rng(cfg.seed, r, STREAM_SEARCH) for r in range(GA_REALIZATIONS)])
+    raw = EvalBatch(evs[0].kind, traj.queen_rates, evs[0]._min_rate).raw
     digest = hashlib.sha256()
     for r in range(GA_REALIZATIONS):
-        for arr in (traj.queens[r] + 1, traj.raw_scores[r], traj.weighted_bases[r]):
+        for arr in (traj.queens[r] + 1, raw[r], raw[r]):
             digest.update(arr.tobytes())
     return digest.hexdigest()
 
@@ -266,14 +268,15 @@ def test_ga_run_matches_golden_digest(shape):
 @pytest.mark.parametrize("shape", [*sorted(GA_SHAPES), "single_column"])
 def test_ga_block_matches_blocks_of_one(shape):
     # Every field of every realization has the same bits whether it runs in a
-    # block of several or alone; N_vec == 1 draws no mutation keys at all.
+    # block of several or alone; the queens and their rates determine every
+    # score. N_vec == 1 draws no mutation keys at all.
     cfg = SystemConfig(**GA_SHAPES.get(shape, dict(M=1, N=1, N_vec=1)), N_it=30, L=10, S=5,
                        P_dB=10.0, seed=2024)
     evs = [SelectionEvaluator(cfg, realize_channel(cfg, r)) for r in range(4)]
     block = ga_run(evs, [stream_rng(cfg.seed, r, STREAM_SEARCH) for r in range(4)])
     for r in range(4):
         alone = ga_run([evs[r]], [stream_rng(cfg.seed, r, STREAM_SEARCH)])
-        for field in ("queens", "raw_scores", "weighted_bases", "queen_rates"):
+        for field in ("queens", "queen_rates"):
             assert getattr(block, field)[r].tobytes() == getattr(alone, field)[0].tobytes(), (r, field)
 
 

@@ -22,16 +22,13 @@ from beamsel.harness import (
     write_result_files,
 )
 from beamsel.metrics import ObjectiveKind, SaturationError
-from beamsel.search import STREAM_LAYOUT, GaTrajectory, SearchSpaceError, SelectionEvaluator, ga_run
+from beamsel.search import STREAM_LAYOUT, SearchSpaceError, SelectionEvaluator, ga_run
 from scalar_oracle import served_stats
 
 
-def _traj(*rows, alpha=0.0, n=2):
-    """A block trajectory with one row of raw scores per realization."""
-    raw = np.array(rows, dtype=np.float64)
-    queens = np.broadcast_to(np.arange(n), (*raw.shape, n))
-    return GaTrajectory(queens=queens, raw_scores=raw, weighted_bases=raw.copy(),
-                        queen_rates=np.ones(queens.shape), alpha=alpha)
+def _curves(*rows):
+    """An (R, N_it) array with one row of scores per realization."""
+    return np.array(rows, dtype=np.float64)
 
 
 def _base(**kw):
@@ -41,24 +38,32 @@ def _base(**kw):
 
 
 def test_convergence_iteration_no_delay_rule():
-    assert convergence_iteration(_traj([1.0, 2.0, 3.0, 3.0, 3.0]), alpha=0.0).tolist() == [3]
-    assert convergence_iteration(_traj([5.0, 5.0, 5.0]), alpha=0.0).tolist() == [1]
+    raw = _curves([1.0, 2.0, 3.0, 3.0, 3.0])
+    assert convergence_iteration(raw, raw, 0.0).tolist() == [3]
+    raw = _curves([5.0, 5.0, 5.0])
+    assert convergence_iteration(raw, raw, 0.0).tolist() == [1]
     # 5% slack: 2.85 is within tolerance of the final 3.0; each row has its own final score
-    block = _traj([1.0, 2.85, 2.9, 3.0], [1.0, 2.0, 3.0, 3.0])
-    assert convergence_iteration(block, alpha=0.0, tol=0.05).tolist() == [2, 3]
+    block = _curves([1.0, 2.85, 2.9, 3.0], [1.0, 2.0, 3.0, 3.0])
+    assert convergence_iteration(block, block, 0.0, tol=0.05).tolist() == [2, 3]
 
 
 def test_convergence_iteration_weighted_rule():
     # weighted scores (1 - 0.1K) * base peak at K = 3
-    traj = _traj([1.0, 2.0, 3.0, 3.0, 3.0], alpha=0.1)
-    assert convergence_iteration(traj).tolist() == [3]
+    raw = _curves([1.0, 2.0, 3.0, 3.0, 3.0])
+    assert convergence_iteration(raw, raw, 0.1).tolist() == [3]
     # flat raw curve: the delay factor makes earlier strictly better
-    assert convergence_iteration(_traj([4.0, 4.0, 4.0], alpha=0.01)).tolist() == [1]
+    raw = _curves([4.0, 4.0, 4.0])
+    assert convergence_iteration(raw, raw, 0.01).tolist() == [1]
 
 
 def test_convergence_iteration_explicit_alpha_overrides():
-    traj = _traj([1.0, 2.0, 3.0, 3.0], alpha=0.1)
-    assert convergence_iteration(traj, alpha=0.0).tolist() == [3]
+    raw = _curves([1.0, 2.0, 3.0, 3.0])
+    assert convergence_iteration(raw, raw, 0.0).tolist() == [3]
+    # The weighted rule reads the bases and the no-delay rule the raw scores,
+    # as for the count objective, whose raw score is the served count.
+    counts, bases = _curves([1.0, 2.0, 2.0, 2.0]), _curves([1.0, 2.0, 3.0, 3.0])
+    assert convergence_iteration(counts, bases, 0.1).tolist() == [3]
+    assert convergence_iteration(counts, bases, 0.0).tolist() == [2]
 
 
 def test_rate_cdf_pairs():
@@ -143,7 +148,8 @@ def test_point_search_uses_point_threshold_and_alpha():
             for r in range(cfg.realizations):
                 ev = SelectionEvaluator(cfg, realize_channel(cfg, r), kind)
                 alone = ga_run([ev], [stream_rng(cfg.seed, r, STREAM_SEARCH)])
-                (kstar,) = convergence_iteration(alone)
+                scored = ev.evaluate(alone.queens[0])
+                (kstar,) = convergence_iteration(scored.raw[None], scored.weighted_base[None], cfg.alpha)
                 assert pt.convergence_iterations[r] == kstar
                 moved_after += bool(np.any(alone.queens[0, kstar - 1] != alone.queens[0, -1]))
                 at_kstar = ev.evaluate(alone.queens[0, kstar - 1])
@@ -154,16 +160,15 @@ def test_point_search_uses_point_threshold_and_alpha():
                 assert pt.served_counts[r] == count
                 assert rates.tobytes() == np.where(flags, 0.0, at_kstar.user_rates[0]).tobytes()
                 if kind is ObjectiveKind.OUTAGE_COUNT:
-                    assert pt.served_counts[r] == alone.raw_scores[0, kstar - 1]
+                    assert pt.served_counts[r] == scored.raw[kstar - 1]
             assert moved_after > 0
             served.append(pt.avg_served_users)
         assert served[0] > served[1]  # the two thresholds serve different counts
     # Under the rate-sum objective the weighted curves are (1 - alpha*K) times the raw ones.
     ec = ExperimentConfig(base=_base(realizations=3), sweep_key="alpha", sweep_values=(0.0, 0.01))
-    for _, cfg in ec.points():
-        ((traj, _),) = _run_realization(ec, [cfg], range(3))
-        k = np.arange(1, cfg.N_it + 1)
-        np.testing.assert_array_equal(traj.weighted_scores(), (1.0 - cfg.alpha * k) * traj.raw_scores)
+    for pt in run_experiment(ec).points:
+        k = np.arange(1, pt.cfg.N_it + 1)
+        np.testing.assert_array_equal(pt.example_weighted_curve, (1.0 - pt.cfg.alpha * k) * pt.example_raw_curve)
 
 
 def test_one_evaluator_per_realization(monkeypatch):
@@ -421,13 +426,15 @@ def test_aggregate_is_order_insensitive():
 
 
 def test_single_realization_degenerate_aggregates():
-    ec = ExperimentConfig(base=_base(realizations=1, N_it=12))
-    pt = run_experiment(ec).points[0]
-    assert pt.realizations == 1
-    np.testing.assert_array_equal(pt.mean_weighted_curve, pt.example_weighted_curve)
-    assert pt.example_weighted_bases is pt.example_raw_curve  # a rate sum's curve is stored once
-    assert np.isfinite(pt.mean_final_throughput)
-    assert pt.rate_samples.shape == (pt.cfg.N,)
+    for kind in ObjectiveKind:
+        ec = ExperimentConfig(base=_base(realizations=1, N_it=12), objective_kind=kind)
+        pt = run_experiment(ec).points[0]
+        assert pt.realizations == 1
+        np.testing.assert_array_equal(pt.mean_weighted_curve, pt.example_weighted_curve)
+        # a rate sum's curve is stored once; the count objective's raw curve is the served count
+        assert (pt.example_weighted_bases is pt.example_raw_curve) == (kind is not ObjectiveKind.OUTAGE_COUNT)
+        assert np.isfinite(pt.mean_final_throughput)
+        assert pt.rate_samples.shape == (pt.cfg.N,)
 
 
 def test_write_result_files(tmp_path):
@@ -460,6 +467,25 @@ def test_write_result_files(tmp_path):
     for p in written:
         if p.suffix == ".csv":
             assert "wall" not in p.read_text().splitlines()[0]
+
+
+def test_provenance_is_strict_json_for_non_finite_values(tmp_path):
+    # JSON has no literal for inf or nan, and the config accepts k = inf,
+    # theta_dB = -inf and pa_rho_max_dB = inf. The sidecar writes each
+    # non-finite float as its repr, so a strict parser loads it.
+    ec = ExperimentConfig(base=_base(N_it=5, realizations=1, theta_dB=-math.inf),
+                          sweep_key="k", sweep_values=(0.0, math.inf, math.nan))
+    write_result_files(run_experiment(ec), tmp_path)
+
+    def refuse(name):
+        raise ValueError(f"provenance.json holds the non-standard constant {name}")
+
+    prov = json.loads((tmp_path / "provenance.json").read_text(), parse_constant=refuse)
+    assert prov["base_config"]["theta_dB"] == "-inf"
+    assert prov["base_config"]["pa_rho_max_dB"] == "inf"
+    assert prov["sweep_values"] == [0.0, "inf", "nan"]
+    assert [pt["sweep_value"] for pt in prov["points"]] == [0.0, "inf"]
+    assert [e["sweep_value"] for e in prov["errors"]] == ["nan"]
 
 
 def test_result_files_byte_identical_across_runs(tmp_path):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from beamsel.channel import realize_channel, stream_rng, STREAM_SEARCH
 from beamsel.codebook import build_dft_codebook
 from beamsel.core import ComplexMatrix, PaParams, SystemConfig, db_to_linear
+from beamsel.harness import delay_weighted
 from beamsel.metrics import ObjectiveKind, pa_output_power, rates
 import beamsel.search as search
 from beamsel.search import (
@@ -111,6 +112,11 @@ def _mutants(parent, count, cfg, rng):
 def _ga(ev, rng):
     """One realization's trajectory: a ga_run block of one, whose arrays have a leading axis of 1."""
     return ga_run([ev], [rng])
+
+
+def _raw(traj, ev):
+    """(R, N_it) raw scores of a trajectory's queens, from their recorded rates under ev's objective."""
+    return EvalBatch(ev.kind, traj.queen_rates, ev._min_rate).raw
 
 
 def _changed_slots(children, parent):
@@ -358,6 +364,26 @@ def test_member_scores_do_not_depend_on_the_batch(n, kind):
                 assert got[row[b]].tobytes() == want[0].tobytes(), (name, field, b)
 
 
+@pytest.mark.parametrize("kind", list(ObjectiveKind))
+@pytest.mark.parametrize("n", [4, 12])
+def test_eval_batch_scores_a_block_as_its_flat_reshape(n, kind):
+    # EvalBatch takes (..., N) rates. Every field over a block's
+    # (R, N_it, N) queen_rates must have the bits of the same field over its
+    # (R*N_it, N) reshape, and the raw scores must be the ones evaluate gives
+    # each lane's queens: the block is all a score curve needs.
+    cfg = _cfg(M=16, N=n, N_vec=32, N_it=25, P_dB=10.0, theta_dB=0.0)
+    evs = [SelectionEvaluator(cfg, _channel(cfg, r), kind) for r in range(3)]
+    traj = ga_run(evs, [stream_rng(cfg.seed, r, STREAM_SEARCH) for r in range(3)])
+    block = EvalBatch(kind, traj.queen_rates, evs[0]._min_rate)
+    flat = EvalBatch(kind, traj.queen_rates.reshape(-1, n), evs[0]._min_rate)
+    for field in ("raw", "weighted_base", "total_sum", "served", "served_rates"):
+        got, want = getattr(block, field), getattr(flat, field)
+        assert got.shape == (3, cfg.N_it, *want.shape[1:]), field
+        assert got.tobytes() == want.tobytes(), field
+    for r, ev in enumerate(evs):
+        assert block.raw[r].tobytes() == ev.evaluate(traj.queens[r]).raw.tobytes(), r
+
+
 class _TableEvaluator:
     """Stands in for SelectionEvaluator under the count objective: selection [i] scores rates[i]."""
 
@@ -399,9 +425,10 @@ def test_count_ranking_matches_lexicographic_oracle(rows, chunk):
 def test_ga_scores_never_decrease():
     cfg = _cfg(M=16, N=4, N_vec=32, N_it=60)
     h = _channel(cfg)
-    traj = _ga(SelectionEvaluator(cfg, h), stream_rng(cfg.seed, 0, STREAM_SEARCH))
-    assert traj.raw_scores.shape == (1, 60)
-    assert np.all(np.diff(traj.raw_scores, axis=-1) >= 0.0)
+    ev = SelectionEvaluator(cfg, h)
+    raw = _raw(_ga(ev, stream_rng(cfg.seed, 0, STREAM_SEARCH)), ev)
+    assert raw.shape == (1, 60)
+    assert np.all(np.diff(raw, axis=-1) >= 0.0)
 
 
 def test_ga_deterministic_given_stream():
@@ -410,7 +437,7 @@ def test_ga_deterministic_given_stream():
     a = _ga(SelectionEvaluator(cfg, h), stream_rng(9, 3, STREAM_SEARCH))
     b = _ga(SelectionEvaluator(cfg, h), stream_rng(9, 3, STREAM_SEARCH))
     np.testing.assert_array_equal(a.queens, b.queens)
-    np.testing.assert_array_equal(a.raw_scores, b.raw_scores)
+    np.testing.assert_array_equal(a.queen_rates, b.queen_rates)
 
 
 def test_ga_trajectory_independent_of_alpha():
@@ -418,11 +445,13 @@ def test_ga_trajectory_independent_of_alpha():
     # the undiscounted score, so alpha must not steer it.
     cfg = _cfg(M=8, N=2, N_vec=16, N_it=30, alpha=0.001)
     h = _channel(cfg)
-    slow = _ga(SelectionEvaluator(replace(cfg, alpha=0.0), h), stream_rng(5, 0, STREAM_SEARCH))
-    fast = _ga(SelectionEvaluator(cfg, h), stream_rng(5, 0, STREAM_SEARCH))
+    slow_ev, fast_ev = SelectionEvaluator(replace(cfg, alpha=0.0), h), SelectionEvaluator(cfg, h)
+    slow = _ga(slow_ev, stream_rng(5, 0, STREAM_SEARCH))
+    fast = _ga(fast_ev, stream_rng(5, 0, STREAM_SEARCH))
     np.testing.assert_array_equal(slow.queens, fast.queens)
-    np.testing.assert_array_equal(slow.raw_scores, fast.raw_scores)
-    np.testing.assert_allclose(slow.weighted_scores(0.001), fast.weighted_scores(), rtol=1e-15)
+    np.testing.assert_array_equal(slow.queen_rates, fast.queen_rates)
+    np.testing.assert_allclose(delay_weighted(_raw(slow, slow_ev), 0.001),
+                               delay_weighted(_raw(fast, fast_ev), cfg.alpha), rtol=1e-15)
 
 
 def test_ga_trajectory_accounting():
@@ -435,7 +464,7 @@ def test_ga_trajectory_accounting():
     assert all(len(set(q.tolist())) == 2 for q in traj.queens[0])
     assert traj.queens.min() >= 0
     assert traj.queens.max() < 16
-    assert float(ev.evaluate(traj.queens[0, -1]).raw[0]) == pytest.approx(traj.raw_scores[0, -1], rel=1e-14)
+    assert float(ev.evaluate(traj.queens[0, -1]).raw[0]) == pytest.approx(_raw(traj, ev)[0, -1], rel=1e-14)
     # each iteration's queen_rates are her users' rates, with evaluate's bits
     assert ev.evaluate(traj.queens[0]).user_rates.tobytes() == traj.queen_rates[0].tobytes()
 
@@ -443,8 +472,9 @@ def test_ga_trajectory_accounting():
 def test_ga_weighted_scores_match_raw_for_zero_alpha():
     cfg = _cfg(M=8, N=2, N_vec=16, N_it=15)
     h = _channel(cfg)
-    traj = _ga(SelectionEvaluator(cfg, h), stream_rng(2, 0, STREAM_SEARCH))
-    np.testing.assert_allclose(traj.weighted_scores(0.0), traj.raw_scores, rtol=1e-15)
+    ev = SelectionEvaluator(cfg, h)
+    raw = _raw(_ga(ev, stream_rng(2, 0, STREAM_SEARCH)), ev)
+    np.testing.assert_allclose(delay_weighted(raw, 0.0), raw, rtol=1e-15)
 
 
 @pytest.mark.parametrize("shape", [
@@ -472,17 +502,16 @@ def test_ga_run_draws_a_fixed_number_of_keys(shape):
 
 @pytest.mark.parametrize("kind", list(ObjectiveKind))
 def test_ga_trajectories_own_read_only_rows(kind):
-    # A block holds one C-contiguous, read-only row per realization, so a
-    # mean over realizations adds them in index order, and a rate-sum
-    # objective's weighted bases are its raw scores, stored once.
+    # A block holds one C-contiguous, read-only row per realization, so the
+    # scores taken from it are C-contiguous too, and a mean over
+    # realizations adds them in index order.
     cfg = _cfg(N_it=12, theta_dB=0.0)
-    traj = ga_run([SelectionEvaluator(cfg, _channel(cfg, r), kind) for r in range(3)],
-                  [np.random.default_rng(r) for r in range(3)])
+    evs = [SelectionEvaluator(cfg, _channel(cfg, r), kind) for r in range(3)]
+    traj = ga_run(evs, [np.random.default_rng(r) for r in range(3)])
     assert traj.queens.shape == traj.queen_rates.shape == (3, 12, cfg.N)
-    assert traj.raw_scores.shape == traj.weighted_bases.shape == (3, 12)
-    for arr in (traj.queens, traj.raw_scores, traj.weighted_bases, traj.queen_rates):
+    for arr in (traj.queens, traj.queen_rates):
         assert arr.flags.c_contiguous and not arr.flags.writeable
-    assert (traj.weighted_bases is traj.raw_scores) == (kind is not ObjectiveKind.OUTAGE_COUNT)
+    assert _raw(traj, evs[0]).shape == (3, 12) and _raw(traj, evs[0]).flags.c_contiguous
 
 
 def test_ga_run_needs_one_config_objective_and_stream_per_evaluator():
@@ -652,7 +681,7 @@ def test_ga_attains_small_instance_optimum_most_of_the_time():
         ev = SelectionEvaluator(cfg, realize_channel(cfg, r))
         ((_, opt),) = exhaustive_search([ev])
         traj = _ga(ev, stream_rng(cfg.seed, r, STREAM_SEARCH))
-        final = traj.raw_scores[0, -1]
+        final = _raw(traj, ev)[0, -1]
         assert final <= opt + 1e-9  # can never beat the true optimum
         if final >= opt - 1e-9:
             hits += 1
@@ -667,7 +696,7 @@ def test_ga_beats_matched_budget_random_search_on_average():
         ev = SelectionEvaluator(cfg, realize_channel(cfg, r))
         traj = _ga(ev, stream_rng(cfg.seed, r, STREAM_SEARCH))
         ((_, found),) = random_search([ev], cfg.L * cfg.N_it, stream_rng(cfg.seed, r, 2))
-        ga_scores.append(traj.raw_scores[0, -1])
+        ga_scores.append(_raw(traj, ev)[0, -1])
         rs_scores.append(found)
     assert np.mean(ga_scores) > np.mean(rs_scores)
 
@@ -683,6 +712,6 @@ def test_count_objective_serves_at_least_as_many_users():
         ev = SelectionEvaluator(cfg, h, ObjectiveKind.OUTAGE_COUNT)
         t_count = _ga(ev, stream_rng(cfg.seed, r, STREAM_SEARCH))
         t_thr = _ga(SelectionEvaluator(cfg, h), stream_rng(cfg.seed, r, STREAM_SEARCH))
-        served_count.append(t_count.raw_scores[0, -1])
+        served_count.append(_raw(t_count, ev)[0, -1])
         served_thr.append(int(ev.evaluate(t_thr.queens[0, -1]).served[0]))
     assert np.mean(served_count) >= np.mean(served_thr)
