@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import ConfigError, SystemConfig
-from .harness import ExperimentConfig, apply_settings, run_experiment, write_result_files
+from .harness import ExperimentConfig, _write_csv, apply_settings, run_experiment, write_result_files
 from .search import search_space_size
 
 REQUIRED_KEYS = ("M", "N", "N_vec")
@@ -172,12 +172,9 @@ def command_oracle_check(args: argparse.Namespace, attainment_threshold: float =
     print(f"attainment: {attained}/{pt.realizations} = {fraction:.4f} "
           f"(threshold {attainment_threshold})")
     print(f"mean relative gap: {mean_gap:.3e}")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    report = out / "oracle_check.csv"
-    with open(report, "w", encoding="utf-8", newline="\n") as f:
-        f.write("trials,attained,attainment_fraction,mean_relative_gap,search_space\n")
-        f.write(f"{pt.realizations},{attained},{repr(fraction)},{repr(mean_gap)},{size}\n")
+    report = _write_csv(Path(args.out) / "oracle_check.csv", {
+        "trials": [str(pt.realizations)], "attained": [str(attained)], "attainment_fraction": [repr(fraction)],
+        "mean_relative_gap": [repr(mean_gap)], "search_space": [str(size)]})
     print(f"wrote {report}")
     return 0 if fraction >= attainment_threshold else 1
 

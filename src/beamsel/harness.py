@@ -183,17 +183,16 @@ def convergence_iteration(raw: np.ndarray, bases: np.ndarray, alpha: float, tol:
     return np.argmax(raw >= target, axis=-1) + 1
 
 
-def rate_cdf(samples: np.ndarray) -> list[tuple[float, float]]:
-    """Empirical CDF of per-user rates as (rate, cumulative fraction) pairs.
+def rate_cdf(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Empirical CDF of per-user rates: the distinct rate values, ascending, and their cumulative fractions.
 
-    One pair per distinct rate value, fractions ending at exactly 1.0.
+    The fractions end at exactly 1.0.
     """
     arr = np.asarray(samples, dtype=np.float64).ravel()
     if arr.size == 0:
         raise ValueError("rate_cdf needs at least one sample")
     values, counts = np.unique(arr, return_counts=True)
-    fractions = np.cumsum(counts) / arr.size
-    return list(zip(values.tolist(), fractions.tolist()))
+    return values, np.cumsum(counts) / arr.size
 
 
 # Most realizations one _run_realization call advances in lockstep. It bounds
@@ -376,6 +375,7 @@ def run_experiment(ec: ExperimentConfig, workers: int = 1) -> ExperimentResult:
             runnable.append((sweep_value, cfg))
     points: list[SweepPointResult | None] = [None] * len(runnable)
     pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
+    run_map = map if pool is None else pool.map
     try:
         for positions in groups.values():
             t0 = time.perf_counter()
@@ -384,10 +384,7 @@ def run_experiment(ec: ExperimentConfig, workers: int = 1) -> ExperimentResult:
             n = cfgs[0].realizations
             size = min(BLOCK_CAP, -(-n // workers))
             blocks = [range(start, min(start + size, n)) for start in range(0, n, size)]
-            if pool is None:
-                parts = [_run_realization(ec, cfgs, block) for block in blocks]
-            else:
-                parts = list(pool.map(_run_realization, repeat(ec), repeat(cfgs), blocks))
+            parts = list(run_map(_run_realization, repeat(ec), repeat(cfgs), blocks))
             wall = (time.perf_counter() - t0) / len(positions)
             for p, i in enumerate(positions):
                 points[i] = _aggregate(ec, *runnable[i], [part[p] for part in parts], wall)
@@ -399,22 +396,18 @@ def run_experiment(ec: ExperimentConfig, workers: int = 1) -> ExperimentResult:
     return result
 
 
-def _fmt(x) -> str:
-    """Full-precision, locale-independent cell formatting."""
-    if x is None:
-        return ""
-    if isinstance(x, str):
-        return x
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return repr(float(x))
-
-
-def _write_csv(path: Path, header: list[str], rows) -> None:
+def _write_csv(path: Path, columns: dict[str, list[str]]) -> Path:
+    """Write columns (name -> cells) as a CSV headed by the names, making its directory; return path."""
+    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(",".join(header) + "\n")
-        for row in rows:
-            f.write(",".join(_fmt(c) for c in row) + "\n")
+        f.write(",".join(columns) + "\n")
+        f.writelines(",".join(row) + "\n" for row in zip(*columns.values(), strict=True))
+    return path
+
+
+def _cells(values) -> list[str]:
+    """Each value, flattened in order, as its Python scalar's repr: full-precision floats, integer integers."""
+    return [cell for v in values for cell in map(repr, np.ravel(v).tolist())]
 
 
 def _strict_json(value):
@@ -433,53 +426,53 @@ def write_result_files(result: ExperimentResult, out_dir) -> list[Path]:
     sidecar so repeated runs stay byte-identical.
     """
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
+    pts = result.points
+    sweep = ["" if pt.sweep_value is None else repr(float(pt.sweep_value)) for pt in pts]
 
-    curve_rows = []
-    example_rows = []
-    summary_rows = []
-    cdf_rows = []
-    conv_rows = []
-    baseline_rows = []
-    for pt in result.points:
-        nu = pt.nu_percent()
-        example = pt.example_weighted_curve
-        for i in range(pt.mean_weighted_curve.size):
-            curve_rows.append((pt.sweep_value, i + 1, pt.mean_weighted_curve[i],
-                               pt.mean_raw_curve[i], nu[i]))
-            example_rows.append((pt.sweep_value, i + 1, example[i], pt.example_raw_curve[i]))
-        summary_rows.append((pt.sweep_value, pt.mean_final_throughput,
-                             pt.avg_convergence_iteration, pt.empirical_outage_prob,
-                             pt.avg_served_users, pt.evaluations_per_realization))
-        for rate, frac in rate_cdf(pt.rate_samples):
-            cdf_rows.append((pt.sweep_value, rate, frac))
-        conv_rows.append((pt.sweep_value, pt.cfg.alpha, pt.avg_convergence_iteration,
-                          pt.avg_convergence_iteration_no_delay))
-        for name, score in sorted(pt.baseline_means.items()):
-            # Random search gets the genetic run's budget; exhaustive scores the whole space.
-            evaluations = (search_space_size(pt.cfg) if name == "exhaustive"
-                           else pt.evaluations_per_realization)
-            baseline_rows.append((pt.sweep_value, name, score, evaluations))
+    def per_row(counts) -> list[str]:
+        """Each point's sweep cell, once for each of its rows."""
+        return [cell for cell, n in zip(sweep, counts) for _ in range(n)]
 
-    files = [
-        ("curve.csv", ["sweep_value", "K", "mean_weighted_throughput", "mean_raw_throughput",
-                       "nu_percent"], curve_rows),
-        ("curve_example.csv", ["sweep_value", "K", "weighted_throughput", "raw_throughput"],
-         example_rows),
-        ("summary.csv", ["sweep_value", "mean_final_throughput_bpcu", "avg_convergence_iteration",
-                         "empirical_outage_prob", "avg_served_users", "evaluations"], summary_rows),
-        ("cdf.csv", ["sweep_value", "rate_bpcu", "cum_fraction"], cdf_rows),
-        ("convergence.csv", ["sweep_value", "alpha", "avg_convergence_iteration",
-                             "avg_convergence_iteration_no_delay"], conv_rows),
+    n_it = [pt.mean_weighted_curve.size for pt in pts]
+    iterations = {"sweep_value": per_row(n_it), "K": [str(k) for n in n_it for k in range(1, n + 1)]}
+    cdfs = [rate_cdf(pt.rate_samples) for pt in pts]
+    means = [sorted(pt.baseline_means.items()) for pt in pts]
+    written = [
+        _write_csv(out / "curve.csv", {
+            **iterations,
+            "mean_weighted_throughput": _cells(pt.mean_weighted_curve for pt in pts),
+            "mean_raw_throughput": _cells(pt.mean_raw_curve for pt in pts),
+            "nu_percent": _cells(pt.nu_percent() for pt in pts)}),
+        _write_csv(out / "curve_example.csv", {
+            **iterations,
+            "weighted_throughput": _cells(pt.example_weighted_curve for pt in pts),
+            "raw_throughput": _cells(pt.example_raw_curve for pt in pts)}),
+        _write_csv(out / "summary.csv", {
+            "sweep_value": sweep,
+            "mean_final_throughput_bpcu": _cells(pt.mean_final_throughput for pt in pts),
+            "avg_convergence_iteration": _cells(pt.avg_convergence_iteration for pt in pts),
+            "empirical_outage_prob": _cells(pt.empirical_outage_prob for pt in pts),
+            "avg_served_users": _cells(pt.avg_served_users for pt in pts),
+            "evaluations": _cells(pt.evaluations_per_realization for pt in pts)}),
+        _write_csv(out / "cdf.csv", {
+            "sweep_value": per_row(values.size for values, _ in cdfs),
+            "rate_bpcu": _cells(values for values, _ in cdfs),
+            "cum_fraction": _cells(fractions for _, fractions in cdfs)}),
+        _write_csv(out / "convergence.csv", {
+            "sweep_value": sweep,
+            "alpha": _cells(pt.cfg.alpha for pt in pts),
+            "avg_convergence_iteration": _cells(pt.avg_convergence_iteration for pt in pts),
+            "avg_convergence_iteration_no_delay": _cells(pt.avg_convergence_iteration_no_delay for pt in pts)}),
     ]
-    if baseline_rows:
-        files.append(("baselines.csv", ["sweep_value", "baseline", "mean_score",
-                                        "evaluations_per_realization"], baseline_rows))
-    for name, header, rows in files:
-        path = out / name
-        _write_csv(path, header, rows)
-        written.append(path)
+    if any(means):
+        written.append(_write_csv(out / "baselines.csv", {
+            "sweep_value": per_row(map(len, means)),
+            "baseline": [name for point in means for name, _ in point],
+            "mean_score": _cells(score for point in means for _, score in point),
+            # Random search gets the genetic run's budget; exhaustive scores the whole space.
+            "evaluations_per_realization": _cells(
+                search_space_size(pt.cfg) if name == "exhaustive" else pt.evaluations_per_realization
+                for pt, point in zip(pts, means) for name, _ in point)}))
 
     ec = result.config
     provenance = {

@@ -147,11 +147,27 @@ class SelectionEvaluator:
         self.kind = kind
 
     def evaluate(self, selections: np.ndarray) -> EvalBatch:
-        """Score a (B, N) array of 0-based selections."""
+        """Score a (B, N) array of 0-based selections, or one (N,) selection.
+
+        Raises DimensionError for rows that are not N wide, and ValueError,
+        naming the first bad row, for a row with an index outside [0, N_vec)
+        or a column used twice.
+        """
         sels = np.asarray(selections, dtype=np.int64)
         if sels.ndim == 1:
             sels = sels[None, :]
-        return _score_rows(self._column_gains, sels, self._p_over_m, self.kind, self._min_rate)
+        n, n_vec = self.cfg.N, self.cfg.N_vec
+        if sels.ndim != 2 or sels.shape[1] != n:
+            raise DimensionError(f"selections must be (B, {n}) or ({n},), got shape {np.shape(selections)}")
+        slots = np.ascontiguousarray(sels.T)  # (N, B): each slot's columns, contiguous
+        bad = ((slots < 0) | (slots >= n_vec)).any(axis=0)
+        for i in range(1, n):
+            bad |= (slots[i] == slots[:i]).any(axis=0)
+        if bad.any():
+            row = int(np.argmax(bad))
+            raise ValueError(f"selection row {row} {sels[row].tolist()} is not {n} distinct "
+                             f"columns in [0, {n_vec})")
+        return _score_rows(self._column_gains, slots.T, self._p_over_m, self.kind, self._min_rate)
 
 
 def _score_rows(column_gains: np.ndarray, rows: np.ndarray, p_over_m: float,

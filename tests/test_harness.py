@@ -67,11 +67,15 @@ def test_convergence_iteration_explicit_alpha_overrides():
 
 
 def test_rate_cdf_pairs():
-    assert rate_cdf(np.array([0.0, 2.0])) == [(0.0, 0.5), (2.0, 1.0)]
-    assert rate_cdf(np.array([1.0, 1.0, 1.0])) == [(1.0, 1.0)]
-    pairs = rate_cdf(np.array([3.0, 1.0, 2.0, 1.0]))
-    assert [v for v, _ in pairs] == [1.0, 2.0, 3.0]
-    assert pairs[-1][1] == 1.0
+    def cdf(samples):
+        values, fractions = rate_cdf(np.array(samples))
+        return values.tolist(), fractions.tolist()
+
+    assert cdf([0.0, 2.0]) == ([0.0, 2.0], [0.5, 1.0])
+    assert cdf([1.0, 1.0, 1.0]) == ([1.0], [1.0])
+    values, fractions = cdf([3.0, 1.0, 2.0, 1.0])
+    assert values == [1.0, 2.0, 3.0]
+    assert fractions[-1] == 1.0
     with pytest.raises(ValueError):
         rate_cdf(np.array([]))
 
@@ -467,6 +471,27 @@ def test_write_result_files(tmp_path):
     for p in written:
         if p.suffix == ".csv":
             assert "wall" not in p.read_text().splitlines()[0]
+
+
+def test_run_with_every_point_failed_writes_headers_only(tmp_path):
+    # N > M fails validation at every point, so no point has a row to write.
+    ec = ExperimentConfig(base=_base(M=4, N=2, N_vec=8, N_it=5, realizations=1), sweep_key="N",
+                          sweep_values=(5.0, 6.0), baselines=("random",))
+    result = run_experiment(ec)
+    assert not result.points and len(result.errors) == 2
+    written = write_result_files(result, tmp_path)
+    headers = {
+        "curve.csv": "sweep_value,K,mean_weighted_throughput,mean_raw_throughput,nu_percent\n",
+        "curve_example.csv": "sweep_value,K,weighted_throughput,raw_throughput\n",
+        "summary.csv": "sweep_value,mean_final_throughput_bpcu,avg_convergence_iteration,"
+                       "empirical_outage_prob,avg_served_users,evaluations\n",
+        "cdf.csv": "sweep_value,rate_bpcu,cum_fraction\n",
+        "convergence.csv": "sweep_value,alpha,avg_convergence_iteration,avg_convergence_iteration_no_delay\n",
+    }
+    assert [p.name for p in written] == [*headers, "provenance.json"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted([*headers, "provenance.json"])
+    for name, header in headers.items():
+        assert (tmp_path / name).read_text() == header
 
 
 def test_provenance_is_strict_json_for_non_finite_values(tmp_path):

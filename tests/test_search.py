@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from beamsel.channel import realize_channel, stream_rng, STREAM_SEARCH
 from beamsel.codebook import build_dft_codebook
-from beamsel.core import ComplexMatrix, PaParams, SystemConfig, db_to_linear
+from beamsel.core import ComplexMatrix, DimensionError, PaParams, SystemConfig, db_to_linear
 from beamsel.harness import delay_weighted
 from beamsel.metrics import ObjectiveKind, pa_output_power, rates
 import beamsel.search as search
@@ -308,6 +308,23 @@ def test_evaluator_rejects_channel_shape_mismatch():
     bad = ComplexMatrix(np.ones((3, 8)))
     with pytest.raises(ValueError):
         SelectionEvaluator(cfg, bad)
+
+
+def test_evaluator_rejects_invalid_selections():
+    # A negative index would wrap to a real column, and a repeated column
+    # scores a selection the search can never make: [3, 3] outscores [7, 0].
+    cfg = _cfg(M=4, N=2, N_vec=8)
+    ev = SelectionEvaluator(cfg, _channel(cfg))
+    valid = ev.evaluate([[7, 0], [1, 2]]).raw
+    assert valid.shape == (2,)
+    for bad in ([-1, 0], [3, 3], [8, 0], [0, 2**40]):
+        with pytest.raises(ValueError, match=r"selection row 0 "):
+            ev.evaluate(bad)
+    with pytest.raises(ValueError, match=r"selection row 2 \[5, 5\]"):
+        ev.evaluate([[7, 0], [1, 2], [5, 5], [-1, 0]])
+    for shape in ((3,), (2, 3), (2, 1), (1, 2, 2)):
+        with pytest.raises(DimensionError):
+            ev.evaluate(np.zeros(shape, dtype=np.int64))
 
 
 def test_best_index_breaks_ties_toward_lowest():
