@@ -23,6 +23,7 @@ from .channel import STREAM_BASELINE, STREAM_SEARCH, realize_channel, stream_rng
 from .core import ConfigError, SystemConfig, validate_config
 from .metrics import ObjectiveKind, min_rate_for_threshold
 from .search import (
+    BASELINE_FREE_FIELDS,
     EXHAUSTIVE_CAP,
     STREAM_LAYOUT,
     EvalBatch,
@@ -195,38 +196,45 @@ def rate_cdf(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return values, np.cumsum(counts) / arr.size
 
 
-# Most realizations one _run_realization call advances in lockstep. It bounds
-# the block's arrays (gain tables, per-generation gathers, trajectories) the
-# way KEY_CHUNK_BYTES bounds its keys; no result depends on it.
+# Most lanes one _run_realization call advances in lockstep, where a lane is
+# one point's search on one realization: a block of a group of P points holds
+# BLOCK_CAP // P realizations, and at least one. It bounds the block's arrays
+# (per-generation gathers, trajectories) the way KEY_CHUNK_BYTES bounds its
+# keys; no result depends on it.
 BLOCK_CAP = 64
-# Config fields that no channel, power or baseline draw reads: sweep points
-# that differ only in these share their baselines' scoring.
-BASELINE_FREE_FIELDS = ("theta_dB", "alpha", "S", "mutation_fraction")
 
 
 def _run_realization(ec: ExperimentConfig, cfgs: Sequence[SystemConfig],
                      indices: Sequence[int]) -> list[tuple[GaTrajectory, dict[str, np.ndarray]]]:
     """Run the realizations `indices` of a group of points: each point's block trajectory and baseline scores.
 
-    The points' configs differ only in BASELINE_FREE_FIELDS, which no channel
-    reads, so each realization's channel is drawn once for all of them. Each
-    point's genetic searches run as one lockstep block; then each
-    realization scores each baseline's rows once, from its baseline stream,
-    and every point ranks them under its own objective threshold. A point's
-    baseline scores are one (len(indices),) array per baseline, in index order.
+    The points' configs differ only in BASELINE_FREE_FIELDS, which no
+    channel, gain table or power reads, so each realization's channel and
+    evaluator are built once for all of them. The points that share S and
+    mutation_fraction draw the same keys, so their genetic searches run as
+    the lanes of one lockstep block. Then each realization scores each
+    baseline's rows once, from its baseline stream, and every point ranks
+    them under its own objective threshold. A point's baseline scores are
+    one (len(indices),) array per baseline, in index order.
     """
     cfg = cfgs[0]
-    channels = [realize_channel(cfg, i) for i in indices]
-    evs = [[SelectionEvaluator(c, h, ec.objective_kind) for h in channels] for c in cfgs]
-    trajs = [ga_run(point_evs, [stream_rng(cfg.seed, i, STREAM_SEARCH) for i in indices])
-             for point_evs in evs]
+    evs = [SelectionEvaluator(cfg, realize_channel(cfg, i), ec.objective_kind) for i in indices]
+    lanes: dict[tuple[int, float], list[int]] = {}  # (S, mutation_fraction) -> positions in cfgs
+    for p, c in enumerate(cfgs):
+        lanes.setdefault((c.S, c.mutation_fraction), []).append(p)
+    trajs: list[GaTrajectory | None] = [None] * len(cfgs)
+    for positions in lanes.values():
+        block = ga_run(evs, [stream_rng(cfg.seed, i, STREAM_SEARCH) for i in indices],
+                       [cfgs[p] for p in positions])
+        for p, queens, queen_rates in zip(positions, np.split(block.queens, len(positions)),
+                                          np.split(block.queen_rates, len(positions))):
+            trajs[p] = GaTrajectory(queens, queen_rates)
     scores = [{name: np.empty(len(indices)) for name in ec.baselines} for _ in cfgs]
-    for r, index in enumerate(indices):
-        group = [point_evs[r] for point_evs in evs]
+    for r, (index, ev) in enumerate(zip(indices, evs)):
         brng = stream_rng(cfg.seed, index, STREAM_BASELINE)
         for name in ec.baselines:
-            found = (random_search(group, cfg.L * cfg.N_it, brng) if name == "random"
-                     else exhaustive_search(group))
+            found = (random_search(ev, cfg.L * cfg.N_it, brng, cfgs) if name == "random"
+                     else exhaustive_search(ev, cfgs))
             for point_scores, (_, score) in zip(scores, found):
                 point_scores[name][r] = score
     return list(zip(trajs, scores))
@@ -353,8 +361,9 @@ def run_experiment(ec: ExperimentConfig, workers: int = 1) -> ExperimentResult:
     A point is screened before any of its realizations runs, so an exception
     raised inside a realization is a bug and propagates. The runnable points
     whose configs differ only in BASELINE_FREE_FIELDS run as one group, so
-    each realization's baselines are scored once for all of them; each
-    point's wall_seconds is its group's wall time split evenly.
+    each realization's channel, gain table and baselines are built and
+    scored once for all of them (see _run_realization); each point's
+    wall_seconds is its group's wall time split evenly.
     result.points keeps sweep order.
     Realizations are reduced in index order whatever the worker count, so a
     given (config, seed) pair always produces identical numbers.
@@ -380,9 +389,9 @@ def run_experiment(ec: ExperimentConfig, workers: int = 1) -> ExperimentResult:
         for positions in groups.values():
             t0 = time.perf_counter()
             cfgs = [runnable[i][1] for i in positions]
-            # One block per worker, unless that exceeds BLOCK_CAP realizations.
+            # One block per worker, unless that exceeds BLOCK_CAP lanes.
             n = cfgs[0].realizations
-            size = min(BLOCK_CAP, -(-n // workers))
+            size = max(1, min(BLOCK_CAP // len(cfgs), -(-n // workers)))
             blocks = [range(start, min(start + size, n)) for start in range(0, n, size)]
             parts = list(run_map(_run_realization, repeat(ec), repeat(cfgs), blocks))
             wall = (time.perf_counter() - t0) / len(positions)

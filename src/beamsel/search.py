@@ -12,7 +12,7 @@ import functools
 import itertools
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -48,21 +48,30 @@ def n_replaced(mutation_fraction: float, n: int) -> int:
     return max(1, math.ceil(mutation_fraction * n - 1e-9))
 
 
+# Config fields that no channel, gain table, power or baseline draw reads:
+# one evaluator serves every sweep point that differs from its config only in
+# these, and such points share their baselines' scoring.
+BASELINE_FREE_FIELDS = ("theta_dB", "alpha", "S", "mutation_fraction")
+
+
 class EvalBatch:
     """Scores for a batch of candidate selections under one objective.
 
     user_rates is (..., N): any leading axes index the members, and each
-    score has their shape. Scoring computes only what ranking reads: raw,
-    which for the count objective is the served counts. The other fields are
-    derived from user_rates on first read. Every per-member sum runs over
-    that member's own C-contiguous row, so a member's scores do not depend
-    on the batch around it or on its shape.
+    score has their shape. min_rate is the rate threshold: one float, or one
+    per member, shaped like the leading axes; a compare against a member's
+    own threshold gives the bits of a compare against the same float.
+    Scoring computes only what ranking reads: raw, which for the count
+    objective is the served counts. The other fields are derived from
+    user_rates on first read. Every per-member sum runs over that member's
+    own C-contiguous row, so a member's scores do not depend on the batch
+    around it or on its shape.
     """
 
-    def __init__(self, kind: ObjectiveKind, user_rates: np.ndarray, min_rate: float):
+    def __init__(self, kind: ObjectiveKind, user_rates: np.ndarray, min_rate: float | np.ndarray):
         self.kind = kind
         self.user_rates = user_rates  # (..., N)
-        self._min_rate = min_rate
+        self._min_rate = min_rate  # float or (...,)
         # (...,) undiscounted objective scalar
         if kind is ObjectiveKind.THROUGHPUT:
             self.raw = self.total_sum
@@ -79,7 +88,7 @@ class EvalBatch:
     @functools.cached_property
     def served_rates(self) -> np.ndarray:
         """(..., N) user_rates with the users below the rate threshold zeroed."""
-        return np.where(self.user_rates >= self._min_rate, self.user_rates, 0.0)
+        return np.where(self.user_rates >= np.expand_dims(self._min_rate, -1), self.user_rates, 0.0)
 
     @functools.cached_property
     def weighted_base(self) -> np.ndarray:
@@ -149,17 +158,20 @@ class SelectionEvaluator:
     def evaluate(self, selections: np.ndarray) -> EvalBatch:
         """Score a (B, N) array of 0-based selections, or one (N,) selection.
 
-        Raises DimensionError for rows that are not N wide, and ValueError,
-        naming the first bad row, for a row with an index outside [0, N_vec)
-        or a column used twice.
+        Raises DimensionError for rows that are not N wide, and ValueError
+        for selections that are not of an integer type or, naming the first
+        bad row, for a row with an index outside [0, N_vec) or a column used
+        twice.
         """
-        sels = np.asarray(selections, dtype=np.int64)
+        sels = np.asarray(selections)
         if sels.ndim == 1:
             sels = sels[None, :]
         n, n_vec = self.cfg.N, self.cfg.N_vec
         if sels.ndim != 2 or sels.shape[1] != n:
             raise DimensionError(f"selections must be (B, {n}) or ({n},), got shape {np.shape(selections)}")
-        slots = np.ascontiguousarray(sels.T)  # (N, B): each slot's columns, contiguous
+        if not np.issubdtype(sels.dtype, np.integer):
+            raise ValueError(f"selections must be integer column indices, got dtype {sels.dtype}")
+        slots = np.ascontiguousarray(sels.T, dtype=np.int64)  # (N, B): each slot's columns, contiguous
         bad = ((slots < 0) | (slots >= n_vec)).any(axis=0)
         for i in range(1, n):
             bad |= (slots[i] == slots[:i]).any(axis=0)
@@ -171,19 +183,20 @@ class SelectionEvaluator:
 
 
 def _score_rows(column_gains: np.ndarray, rows: np.ndarray, p_over_m: float,
-                kind: ObjectiveKind, min_rate: float) -> EvalBatch:
+                kind: ObjectiveKind, min_rate: float | np.ndarray) -> EvalBatch:
     """Score (B, N) rows of a gain table: the one gather, SINR and rate chain.
 
     Row u of column_gains holds every user's power gain from column u; ga_run
     passes several realizations' tables stacked, with each selection offset
-    to its own table's rows.
+    to its own table's rows, and one threshold per row (see EvalBatch).
     """
     # gains[j, b, i] = power user i receives from member b's j-th beam.
     # Slot-major, so the sum over beams adds contiguous (B, N) planes in slot
     # order. np.take copies whole rows, several times faster than the
-    # equivalent fancy index.
+    # equivalent fancy index. The diagonal is copied out of its strided view
+    # once, so the subtraction and the SINR read contiguous rows.
     gains = np.take(column_gains, rows.T, axis=0)
-    signal = np.einsum("ibi->bi", gains)
+    signal = np.ascontiguousarray(np.einsum("ibi->bi", gains))
     interference = gains.sum(axis=0) - signal
     snr = sinr_from_components(signal, interference, p_over_m)
     return EvalBatch(kind, rates(snr), min_rate)
@@ -251,48 +264,85 @@ def mutate(parents: np.ndarray, slots: np.ndarray, picks: np.ndarray, n_vec: int
 
 @dataclass(frozen=True)
 class GaTrajectory:
-    """Per-iteration record of a block of genetic algorithm runs, one row per realization.
+    """Per-iteration record of a block of genetic algorithm runs, one row per lane.
 
     queens holds each iteration's best selection (0-based columns), and
     queen_rates her users' rates, from which an EvalBatch gives every score
     of hers. The arrays are C-contiguous and read-only.
     """
 
-    queens: np.ndarray       # (R, N_it, N) int64, 0-based
-    queen_rates: np.ndarray  # (R, N_it, N)
+    queens: np.ndarray       # (lanes, N_it, N) int64, 0-based
+    queen_rates: np.ndarray  # (lanes, N_it, N)
 
 
-def ga_run(evaluators: Sequence[SelectionEvaluator],
-           rngs: Sequence[np.random.Generator]) -> GaTrajectory:
-    """Run the elitist genetic search on a block of realizations in lockstep.
+def _thresholds(ev: SelectionEvaluator, points: Sequence[SystemConfig] | None) -> list[float]:
+    """Each point's rate threshold, for a search that scores ev's rows once for all of them.
+
+    points default to ev's own config. A point may differ from ev.cfg only
+    in BASELINE_FREE_FIELDS, which its gain table and power do not read;
+    ValueError otherwise. Each point is validated, since ev validated only
+    its own config.
+    """
+    if points is None:
+        return [ev._min_rate]
+    shared = {f: getattr(ev.cfg, f) for f in BASELINE_FREE_FIELDS}
+    for p in points:
+        if replace(p, **shared) != ev.cfg:
+            raise ValueError("every point must share its evaluator's config apart from "
+                             + ", ".join(BASELINE_FREE_FIELDS))
+        require_valid(p)
+    return [min_rate_for_threshold(p.theta_dB) for p in points]
+
+
+def ga_run(evaluators: Sequence[SelectionEvaluator], rngs: Sequence[np.random.Generator],
+           points: Sequence[SystemConfig] | None = None) -> GaTrajectory:
+    """Run the elitist genetic search on a block of lanes in lockstep.
 
     evaluators[r] holds realization r's channel and rngs[r] its search
-    stream; every evaluator must share one config and objective. Each
-    generation scores all L members, crowns the best as Queen (ties go to the
-    lowest population index), then builds the next generation from the
-    Queen, S of her mutants, and fresh uniform selections. Elitism makes the
-    raw score non-decreasing across iterations. The block advances together:
-    one gather scores every realization's members, and the keys of as many
-    generations as fit in KEY_CHUNK_BYTES, counted over the block, are drawn
-    from each stream and ranked at once. Neither changes a selection (see
-    STREAM_LAYOUT), so row r of the trajectory does not depend on the block
-    around it.
+    stream; every evaluator must share one config and objective. points are
+    the sweep points whose searches the block runs, by default the
+    evaluators' own config; they may differ from it in BASELINE_FREE_FIELDS,
+    but from each other only in theta_dB and alpha, since S and
+    mutation_fraction shape the keys. The block has a lane per point and
+    realization, point-major: lane p * R + r runs point p on realization r,
+    ranking its members under point p's threshold, and row p * R + r of the
+    trajectory is its record.
+
+    Each generation scores all L members, crowns the best as Queen (ties go
+    to the lowest population index), then builds the next generation from
+    the Queen, S of her mutants, and fresh uniform selections. Elitism makes
+    the raw score non-decreasing across iterations. The block advances
+    together: one gather scores every lane's members, and the keys of as
+    many generations as fit in KEY_CHUNK_BYTES, counted over the
+    realizations, are drawn from each stream and ranked once for all of the
+    realization's lanes. Neither changes a selection (see STREAM_LAYOUT), so
+    a lane's row does not depend on the block around it.
     """
     if not evaluators or len(evaluators) != len(rngs):
         raise ValueError(f"ga_run needs one stream per evaluator, got {len(evaluators)} "
                          f"evaluators and {len(rngs)} streams")
     ev0 = evaluators[0]
-    cfg, kind = ev0.cfg, ev0.kind
-    if any(ev.cfg != cfg or ev.kind is not kind for ev in evaluators):
+    kind = ev0.kind
+    if any(ev.cfg != ev0.cfg or ev.kind is not kind for ev in evaluators):
         raise ValueError("ga_run needs evaluators that share one config and one objective")
+    points = [ev0.cfg] if points is None else list(points)
+    min_rates = _thresholds(ev0, points)
+    if not points or any(replace(p, theta_dB=points[0].theta_dB, alpha=points[0].alpha) != points[0]
+                         for p in points):
+        raise ValueError("ga_run needs one or more points that differ only in theta_dB and alpha")
+    cfg = points[0]
     r, n, n_vec, s = len(evaluators), cfg.N, cfg.N_vec, cfg.S
-    # Realization i's members index rows i*N_vec.. of the stacked gain tables.
+    lanes = len(points) * r
+    # Lane i gathers from realization i % R's table, at rows (i % R) * N_vec..
+    # of the stacked gain tables, and ranks under its point's threshold.
+    realization = np.tile(np.arange(r), len(points))
     table = np.concatenate([ev._column_gains for ev in evaluators])
-    offsets = (np.arange(r) * n_vec)[:, None, None]
-    lanes = np.arange(r)
-    pop = np.stack([init_population(cfg, rng) for rng in rngs])  # (R, L, N)
-    queens = np.empty((r, cfg.N_it, n), dtype=np.int64)
-    queen_rates = np.empty((r, cfg.N_it, n), dtype=np.float64)
+    offsets = (realization * n_vec)[:, None, None]
+    member_min_rates = np.repeat(min_rates, r * cfg.L)
+    lane_index = np.arange(lanes)
+    pop = np.stack([init_population(cfg, rng) for rng in rngs])[realization]  # (lanes, L, N)
+    queens = np.empty((lanes, cfg.N_it, n), dtype=np.int64)
+    queen_rates = np.empty((lanes, cfg.N_it, n), dtype=np.float64)
     # Each later generation takes a fixed run of keys: N_vec per mutant (none
     # when N_vec == 1, whose one selection has no mutants to rank), then N_vec
     # per fresh member. A chunk of generations is drawn and ranked at once.
@@ -301,11 +351,11 @@ def ga_run(evaluators: Sequence[SelectionEvaluator],
     span = max(1, KEY_CHUNK_BYTES // (8 * per_gen * r))
     keys = np.empty((r, min(span, cfg.N_it - 1), per_gen))
     for it in range(cfg.N_it):
-        batch = _score_rows(table, (pop + offsets).reshape(-1, n), ev0._p_over_m, kind, ev0._min_rate)
-        best = rank_best(kind, batch.raw.reshape(r, -1), batch.user_rates.reshape(r, -1, n))
-        queen = pop[lanes, best]
+        batch = _score_rows(table, (pop + offsets).reshape(-1, n), ev0._p_over_m, kind, member_min_rates)
+        best = rank_best(kind, batch.raw.reshape(lanes, -1), batch.user_rates.reshape(lanes, -1, n))
+        queen = pop[lane_index, best]
         queens[:, it] = queen
-        queen_rates[:, it] = batch.user_rates[lanes * cfg.L + best]
+        queen_rates[:, it] = batch.user_rates[lane_index * cfg.L + best]
         if it + 1 == cfg.N_it:
             break
         j = it % span
@@ -316,6 +366,8 @@ def ga_run(evaluators: Sequence[SelectionEvaluator],
             chunk = keys[:, :g]
             slots, picks = rank_mutation_keys(chunk[..., :s * width].reshape(r, g, s, width), cfg)
             fresh = chunk[..., s * width:].reshape(r, g, -1, n_vec).argsort(axis=-1)[..., :n]
+            # Every point's lane of a realization reuses its ranked keys.
+            slots, picks, fresh = slots[realization], picks[realization], fresh[realization]
         pop[:, 0] = queen
         pop[:, 1:s + 1] = mutate(queen, slots[:, j], picks[:, j], n_vec)
         pop[:, s + 1:] = fresh[:, j]
@@ -329,33 +381,27 @@ def search_space_size(cfg: SystemConfig) -> int:
     return math.perm(cfg.N_vec, cfg.N)
 
 
-def _best_of_chunks(evs: Sequence[SelectionEvaluator], chunks) -> list[tuple[np.ndarray, float]]:
-    """Score each (B, N) chunk of selections once and return each evaluator's (best row, raw score).
+def _best_of_chunks(ev: SelectionEvaluator, min_rates: Sequence[float],
+                    chunks) -> list[tuple[np.ndarray, float]]:
+    """Score each (B, N) chunk of selections once and return each threshold's (best row, raw score).
 
-    The evaluators must share one gain table and power, so one evaluate call
-    through evs[0] gives every one of them the same user rates; each then
-    ranks those rates under its own objective and threshold. rank_best picks
-    each chunk's winner and then the best of the winners, whose rates rows
-    it reads, so ties resolve to the earliest member whatever the chunk
-    size. The winners' rows are copied as int64, so no chunk's arrays
-    outlive it.
+    One evaluate call gives a chunk's user rates, which are then ranked under
+    ev's objective at each of min_rates. rank_best picks each chunk's winner
+    and then the best of the winners, whose rates rows it reads, so ties
+    resolve to the earliest member whatever the chunk size. The winners'
+    rows are copied as int64, so no chunk's arrays outlive it.
     """
-    ev0 = evs[0]
-    for ev in evs[1:]:
-        if (ev._p_over_m != ev0._p_over_m or ev._column_gains.shape != ev0._column_gains.shape
-                or ev._column_gains.tobytes() != ev0._column_gains.tobytes()):
-            raise ValueError("a baseline group needs evaluators that share one gain table and one power")
-    winners = [([], [], []) for _ in evs]
+    winners = [([], [], []) for _ in min_rates]
     for arr in chunks:
-        first = ev0.evaluate(arr)
-        for ev, (rows, raw, user_rates) in zip(evs, winners):
-            batch = first if ev is ev0 else EvalBatch(ev.kind, first.user_rates, ev._min_rate)
+        first = ev.evaluate(arr)
+        for min_rate, (rows, raw, user_rates) in zip(min_rates, winners):
+            batch = first if min_rate == ev._min_rate else EvalBatch(ev.kind, first.user_rates, min_rate)
             i = batch.best_index()
             rows.append(arr[i].astype(np.int64))
             raw.append(batch.raw[i])
             user_rates.append(batch.user_rates[i].copy())
     best = []
-    for ev, (rows, raw, user_rates) in zip(evs, winners):
+    for rows, raw, user_rates in winners:
         w = rank_best(ev.kind, np.array(raw), np.array(user_rates))
         best.append((rows[w], float(raw[w])))
     return best
@@ -379,39 +425,42 @@ def _ordered_selections(n_vec: int, n: int) -> np.ndarray:
     return table
 
 
-def exhaustive_search(evs: Sequence[SelectionEvaluator]) -> list[tuple[np.ndarray, float]]:
-    """Score every ordered selection, from the per-shape table, once for a group of evaluators.
+def exhaustive_search(ev: SelectionEvaluator,
+                      points: Sequence[SystemConfig] | None = None) -> list[tuple[np.ndarray, float]]:
+    """Score every ordered selection, from the per-shape table, once for a group of sweep points.
 
-    Returns each evaluator's (best row, raw score); the score is its
-    undiscounted objective: sum rate, served-rate sum, or served count. Ties
-    resolve to the first optimum in lexicographic enumeration order. Refuses
-    to run when the space exceeds EXHAUSTIVE_CAP, and raises ValueError when
-    the evaluators differ in gain table or power.
+    points default to ev's own config and may differ from it only in
+    BASELINE_FREE_FIELDS (ValueError otherwise). Returns each point's (best
+    row, raw score), ranked under ev's objective at the point's threshold;
+    the score is the undiscounted objective: sum rate, served-rate sum, or
+    served count. Ties resolve to the first optimum in lexicographic
+    enumeration order. Refuses to run when the space exceeds EXHAUSTIVE_CAP.
     """
-    cfg = evs[0].cfg
+    cfg = ev.cfg
     size = search_space_size(cfg)
     if size > EXHAUSTIVE_CAP:
         raise SearchSpaceError(
             f"{size} ordered selections exceed the exhaustive cap of {EXHAUSTIVE_CAP}; shrink N_vec/N")
+    min_rates = _thresholds(ev, points)
     table = _ordered_selections(cfg.N_vec, cfg.N)
-    return _best_of_chunks(evs, (table[s:s + CHUNK] for s in range(0, size, CHUNK)))
+    return _best_of_chunks(ev, min_rates, (table[s:s + CHUNK] for s in range(0, size, CHUNK)))
 
 
-def random_search(evs: Sequence[SelectionEvaluator], budget: int,
-                  rng: np.random.Generator) -> list[tuple[np.ndarray, float]]:
-    """Score `budget` uniform selections once for a group of evaluators.
+def random_search(ev: SelectionEvaluator, budget: int, rng: np.random.Generator,
+                  points: Sequence[SystemConfig] | None = None) -> list[tuple[np.ndarray, float]]:
+    """Score `budget` uniform selections once for a group of sweep points.
 
-    Returns each evaluator's (best row, raw score). The matched-budget
-    baseline for the genetic search is budget = L * N_it. Ties resolve to
-    the earliest draw. Raises ValueError when the evaluators differ in gain
-    table or power.
+    points are as for exhaustive_search, and so is the result: each point's
+    (best row, raw score). The matched-budget baseline for the genetic
+    search is budget = L * N_it. Ties resolve to the earliest draw.
     """
-    cfg = evs[0].cfg
+    cfg = ev.cfg
     if budget < 1:
         raise ValueError(f"budget must be at least 1, got {budget}")
+    min_rates = _thresholds(ev, points)
 
     def chunks():
         for start in range(0, budget, CHUNK):
             yield _draw_selection(min(CHUNK, budget - start), cfg.N, cfg.N_vec, rng)
 
-    return _best_of_chunks(evs, chunks())
+    return _best_of_chunks(ev, min_rates, chunks())

@@ -73,7 +73,7 @@ def test_c01_oracle_equivalence():
     evs = [SelectionEvaluator(cfg, realize_channel(cfg, r)) for r in range(200)]
     traj = ga_run(evs, [stream_rng(SEED, r, STREAM_SEARCH) for r in range(200)])
     for ev, found in zip(evs, _raw_scores(traj, evs[0])[:, -1].tolist()):
-        ((_, opt),) = exhaustive_search([ev])
+        ((_, opt),) = exhaustive_search(ev)
         if abs(found - opt) <= 1e-9 * max(1.0, abs(opt)):
             attained += 1
         gaps.append(max(0.0, opt - found) / abs(opt))

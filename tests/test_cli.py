@@ -276,7 +276,7 @@ def _oracle_check_row(ec, tolerance=1e-9) -> str:
     attained, gaps = 0, []
     for r in range(cfg.realizations):
         ev = SelectionEvaluator(cfg, realize_channel(cfg, r), ec.objective_kind)
-        ((_, opt),) = exhaustive_search([ev])
+        ((_, opt),) = exhaustive_search(ev)
         traj = ga_run([ev], [stream_rng(cfg.seed, r, STREAM_SEARCH)])
         found = float(ev.evaluate(traj.queens[0, -1]).raw[0])
         gaps.append(max(0.0, opt - found) / max(abs(opt), 1e-300))

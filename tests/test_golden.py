@@ -297,15 +297,20 @@ def test_digests_hold_across_key_chunk_boundaries(generations, monkeypatch, tmp_
 @pytest.mark.parametrize("recipe,extra", [
     ("power_sweep.cfg", ()),
     ("served_users.cfg", COUNT_BASELINE_OVERRIDES),
-], ids=["throughput", "count_baselines"])
+    ("served_users.cfg", OUTAGE_BASELINE_OVERRIDES),
+], ids=["throughput", "count_baselines", "outage_baselines"])
 def test_csvs_do_not_depend_on_block_size_or_workers(recipe, extra, monkeypatch, tmp_path):
-    # run_experiment splits a point's realizations into lockstep blocks, one
-    # per worker unless harness.BLOCK_CAP binds. Caps of 1, 7 (a partial last
-    # block on one worker) and all 10, on 1 and 2 workers, must write the
-    # same bytes.
-    extra = (*extra, "--set", "realizations=10")
+    # run_experiment splits a group's realizations into lockstep blocks, one
+    # per worker unless harness.BLOCK_CAP lanes bind. A power_sweep point is a
+    # group of one; served_users' five thresholds are one group. Caps of 1
+    # and 7 lanes (blocks of one realization for the group), 12 (blocks of
+    # two realizations of the group, 10 of the 12 lanes) and 64, on 1 and 2
+    # workers, must write the same bytes. 11 realizations leave a partial
+    # last block: power_sweep's under cap 7, the group's under cap 12, and
+    # both on 2 workers.
+    extra = (*extra, "--set", "realizations=11")
     digests = {}
-    for cap in (1, 7, 10):
+    for cap in (1, 7, 12, 64):
         monkeypatch.setattr(harness, "BLOCK_CAP", cap)
         for workers in ("1", "2"):
             out = tmp_path / f"cap{cap}-w{workers}"

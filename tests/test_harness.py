@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from dataclasses import replace
@@ -12,6 +13,7 @@ from beamsel.channel import STREAM_SEARCH, realize_channel, stream_rng
 from beamsel.core import ConfigError, PaParams, SystemConfig, validate_config
 from beamsel.harness import (
     ExperimentConfig,
+    SweepPointResult,
     _aggregate,
     _run_realization,
     apply_override,
@@ -176,9 +178,8 @@ def test_point_search_uses_point_threshold_and_alpha():
 
 
 def test_one_evaluator_per_realization(monkeypatch):
-    # The GA, the K* statistics and both baselines share one gain table, and
-    # the points of a group share each realization's channel. Each point
-    # still builds its own gain table from it.
+    # The GA and both baselines share one gain table, and the points of a
+    # group share each realization's channel and gain table.
     builds, realized = [], []
     init = SelectionEvaluator.__init__
 
@@ -202,7 +203,7 @@ def test_one_evaluator_per_realization(monkeypatch):
     result = run_experiment(replace(ec, sweep_key="theta_dB", sweep_values=(-3.0, 0.0, 3.0)))
     assert not result.errors and len(result.points) == 3
     assert realized == [0, 1, 2]
-    assert len(builds) == 9
+    assert len(builds) == 3
 
 
 def test_run_experiment_shapes_and_determinism():
@@ -395,6 +396,42 @@ def test_shared_baselines_match_each_point_alone(kind, key, values, workers, tmp
         # The thresholds rank differently, so one shared ranking could not pass.
         scores = [pt.baseline_scores["exhaustive"].tobytes() for pt in shared.points[:3]]
         assert len(set(scores)) == 3
+
+
+def _assert_same_point(got: SweepPointResult, want: SweepPointResult, what) -> None:
+    """Every field of two points' results has the same bits, apart from the sweep value and the timing."""
+    for f in dataclasses.fields(SweepPointResult):
+        if f.name in ("sweep_value", "wall_seconds"):
+            continue
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if isinstance(a, np.ndarray):
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), (what, f.name)
+        elif isinstance(a, dict):
+            assert a.keys() == b.keys(), (what, f.name)
+            assert all(a[k].tobytes() == b[k].tobytes() for k in a), (what, f.name)
+        else:
+            assert a == b, (what, f.name)
+
+
+@pytest.mark.parametrize("kind,key,values", [
+    *[(kind, "theta_dB", (-4.0, 0.0, 4.0, 0.0)) for kind in ObjectiveKind],
+    (ObjectiveKind.OUTAGE_COUNT, "alpha", (0.0, 0.01, 0.0)),
+    (ObjectiveKind.OUTAGE_THROUGHPUT, "S", (3.0, 5.0, 3.0)),
+], ids=[*(f"theta-{kind.value}" for kind in ObjectiveKind), "alpha-outage_count", "S-outage_throughput"])
+def test_group_points_match_each_point_alone(kind, key, values):
+    # The points of a group share each realization's evaluator, and those
+    # that share S and mutation_fraction run as the lanes of one GA block.
+    # Every point's result must have the bits of that point run on its own,
+    # field by field; a repeated value keeps both of its points.
+    base = _base(M=8, N=4, N_vec=16, N_it=20, P_dB=0.0, theta_dB=-2.0, realizations=5)
+    ec = ExperimentConfig(base=base, objective_kind=kind, sweep_key=key, sweep_values=values,
+                          baselines=("random", "exhaustive"))
+    group = run_experiment(ec)
+    assert not group.errors and [pt.sweep_value for pt in group.points] == list(values)
+    for i, (pt, (_, cfg)) in enumerate(zip(group.points, ec.points())):
+        assert pt.cfg == cfg
+        alone = run_experiment(replace(ec, base=cfg, sweep_key=None, sweep_values=()))
+        _assert_same_point(pt, alone.points[0], (key, i))
 
 
 def test_sweep_keeps_every_point_in_sweep_order():

@@ -327,6 +327,18 @@ def test_evaluator_rejects_invalid_selections():
             ev.evaluate(np.zeros(shape, dtype=np.int64))
 
 
+def test_evaluator_rejects_non_integer_selections():
+    # A cast would truncate [0.5, 1.7] to [0, 1] and score that selection.
+    cfg = _cfg(M=4, N=2, N_vec=8)
+    ev = SelectionEvaluator(cfg, _channel(cfg))
+    for bad in ([0.5, 1.7], [7.9, 0.2], np.array([[7.0, 0.0]]), [True, False], ["7", "0"]):
+        with pytest.raises(ValueError, match="must be integer column indices"):
+            ev.evaluate(bad)
+    want = ev.evaluate([7, 0]).raw.tobytes()
+    for ok in (np.array([7, 0], dtype=np.uint8), np.array([[7, 0]], dtype=np.int32)):
+        assert ev.evaluate(ok).raw.tobytes() == want
+
+
 def test_best_index_breaks_ties_toward_lowest():
     cfg = _cfg(M=8, N=2, N_vec=16, theta_dB=0.0)
     ev = SelectionEvaluator(cfg, _channel(cfg))
@@ -405,14 +417,13 @@ class _TableEvaluator:
     """Stands in for SelectionEvaluator under the count objective: selection [i] scores rates[i]."""
 
     kind = ObjectiveKind.OUTAGE_COUNT
-    _p_over_m = 1.0
 
     def __init__(self, rates: np.ndarray, min_rate: float):
-        self._column_gains = rates  # what the group check compares
+        self._rates = rates
         self._min_rate = min_rate
 
     def evaluate(self, selections: np.ndarray) -> EvalBatch:
-        return EvalBatch(self.kind, self._column_gains[selections[:, 0]], self._min_rate)
+        return EvalBatch(self.kind, self._rates[selections[:, 0]], self._min_rate)
 
 
 @settings(max_examples=300, deadline=None)
@@ -425,12 +436,12 @@ class _TableEvaluator:
 @example([[2, 0], [0, 0], [2, 3], [2, 3]], 2)  # a later tied row wins, in a later chunk
 def test_count_ranking_matches_lexicographic_oracle(rows, chunk):
     # Integer-valued rates against threshold rates of 2 and 1 make ties in
-    # served count, and in sum rate among the tied rows, common. One group
-    # scores the chunks once and ranks them under both thresholds.
+    # served count, and in sum rate among the tied rows, common. One
+    # evaluator scores the chunks once and ranks them under both thresholds.
     user_rates = np.array(rows, dtype=np.float64)
     ids = np.arange(len(rows))[:, None]
     thresholds = (2.0, 1.0)
-    found = _best_of_chunks([_TableEvaluator(user_rates, t) for t in thresholds],
+    found = _best_of_chunks(_TableEvaluator(user_rates, thresholds[0]), thresholds,
                             (ids[s:s + chunk] for s in range(0, len(rows), chunk)))
     for threshold, (sel, score) in zip(thresholds, found):
         served = (user_rates >= threshold).sum(axis=1)
@@ -547,6 +558,33 @@ def test_ga_run_needs_one_config_objective_and_stream_per_evaluator():
         ga_run([], [])
 
 
+@pytest.mark.parametrize("kind", list(ObjectiveKind))
+def test_ga_lanes_match_each_point_alone(kind):
+    # Points that differ in theta_dB or alpha run as the lanes of one block
+    # that draws and ranks each realization's keys once. Every lane must have
+    # the bits of its point run alone, in point-major order, with a repeated
+    # point keeping its own lanes.
+    cfg = _cfg(M=8, N=4, N_vec=16, N_it=30, P_dB=0.0)
+    evs = [SelectionEvaluator(cfg, _channel(cfg, r), kind) for r in range(3)]
+    points = [replace(cfg, theta_dB=t, alpha=a) for t, a in ((-4.0, 0.001), (2.0, 0.0), (-4.0, 0.01))]
+    block = ga_run(evs, [stream_rng(cfg.seed, r, STREAM_SEARCH) for r in range(3)], points)
+    assert block.queens.shape == block.queen_rates.shape == (9, 30, 4)
+    for p, point in enumerate(points):
+        for r in range(3):
+            alone = ga_run([SelectionEvaluator(point, _channel(cfg, r), kind)],
+                           [stream_rng(cfg.seed, r, STREAM_SEARCH)])
+            for field in ("queens", "queen_rates"):
+                assert getattr(block, field)[3 * p + r].tobytes() == getattr(alone, field)[0].tobytes(), (p, r)
+    if kind is not ObjectiveKind.THROUGHPUT:
+        assert block.queens[:3].tobytes() != block.queens[3:6].tobytes()  # the thresholds steer the search
+    # S and mutation_fraction shape the keys, so points that differ in them cannot share lanes.
+    for other in (replace(cfg, S=3), replace(cfg, mutation_fraction=0.5)):
+        with pytest.raises(ValueError, match="differ only in theta_dB and alpha"):
+            ga_run(evs[:1], [np.random.default_rng(0)], [cfg, other])
+    with pytest.raises(ValueError, match="one or more points"):
+        ga_run(evs[:1], [np.random.default_rng(0)], [])
+
+
 def test_search_space_size():
     assert search_space_size(_cfg(M=8, N=2, N_vec=8)) == 56
     assert search_space_size(_cfg(M=4, N=4, N_vec=4)) == 24
@@ -563,7 +601,7 @@ def test_exhaustive_matches_explicit_enumeration():
         if score > best_score:
             best_score = score
             best_sel = perm
-    ((sel, score),) = exhaustive_search([SelectionEvaluator(cfg, h)])
+    ((sel, score),) = exhaustive_search(SelectionEvaluator(cfg, h))
     assert score == pytest.approx(best_score, rel=1e-14)
     assert sel.tolist() == list(best_sel)
 
@@ -571,7 +609,7 @@ def test_exhaustive_matches_explicit_enumeration():
 def test_exhaustive_tie_breaks_to_first_enumerated():
     cfg = _cfg(M=4, N=2, N_vec=8)
     flat = ComplexMatrix(np.zeros((2, 4)))
-    ((sel, score),) = exhaustive_search([SelectionEvaluator(cfg, flat)])
+    ((sel, score),) = exhaustive_search(SelectionEvaluator(cfg, flat))
     assert score == 0.0
     assert sel.tolist() == [0, 1]
 
@@ -622,9 +660,9 @@ def test_chunk_size_never_changes_the_winner(monkeypatch, kind, flat):
     r_want = _best_row(drawn_batch)
     for chunk in (1, 7, 4096):
         monkeypatch.setattr(search, "CHUNK", chunk)
-        ((sel, score),) = exhaustive_search([ev])
+        ((sel, score),) = exhaustive_search(ev)
         assert (sel.tolist(), score) == (table[want].tolist(), float(every.raw[want]))
-        ((sel, score),) = random_search([ev], 40, np.random.default_rng(5))
+        ((sel, score),) = random_search(ev, 40, np.random.default_rng(5))
         assert (sel.tolist(), score) == (drawn[r_want].tolist(), float(drawn_batch.raw[r_want]))
 
 
@@ -632,14 +670,14 @@ def test_exhaustive_refuses_oversized_space():
     cfg = _cfg(M=32, N=8, N_vec=128)
     h = _channel(cfg)
     with pytest.raises(SearchSpaceError):
-        exhaustive_search([SelectionEvaluator(cfg, h)])
+        exhaustive_search(SelectionEvaluator(cfg, h))
 
 
 def test_exhaustive_count_objective_returns_served_count():
     # At this power and threshold the 56 rows serve 0, 1 or 2 users, and 9 tie at 2.
     cfg = _cfg(M=4, N=2, N_vec=8, P_dB=10.0, theta_dB=0.0)
     ev = SelectionEvaluator(cfg, _channel(cfg), ObjectiveKind.OUTAGE_COUNT)
-    ((sel, score),) = exhaustive_search([ev])
+    ((sel, score),) = exhaustive_search(ev)
     assert isinstance(score, float)
     batch = ev.evaluate(sel)
     assert score == int(batch.served[0])
@@ -652,41 +690,41 @@ def test_exhaustive_count_objective_returns_served_count():
 
 
 def test_baseline_group_needs_one_gain_table_and_power():
+    # One evaluator scores a group's rows for every point, so a point whose
+    # channel, power or codebook would differ from the evaluator's is refused.
     cfg = _cfg(M=8, N=2, N_vec=16, P_dB=0.0)
     ev = SelectionEvaluator(cfg, _channel(cfg))
-    differing = {
-        "channel": SelectionEvaluator(cfg, _channel(cfg, 1)),
-        "power": SelectionEvaluator(replace(cfg, P_dB=3.0), _channel(cfg)),
-        "codebook": SelectionEvaluator(replace(cfg, N_vec=8), _channel(cfg)),
-    }
+    differing = {"channel": replace(cfg, k=1.0), "power": replace(cfg, P_dB=3.0),
+                 "codebook": replace(cfg, N_vec=8)}
     for what, other in differing.items():
-        for group in ([ev, other], [other, ev]):
-            with pytest.raises(ValueError, match="one gain table and one power"):
-                exhaustive_search(group)
-            with pytest.raises(ValueError, match="one gain table and one power"):
-                random_search(group, 10, np.random.default_rng(0))
-            with pytest.raises(ValueError, match="one gain table and one power"):
-                _best_of_chunks(group, iter([np.array([[0, 1]])]))
-    # A threshold, an alpha or an objective of its own leaves the table and power shared.
-    shared = SelectionEvaluator(replace(cfg, theta_dB=5.0, alpha=0.01), _channel(cfg), ObjectiveKind.OUTAGE_COUNT)
-    assert len(exhaustive_search([ev, shared])) == len(random_search([ev, shared], 10, np.random.default_rng(0))) == 2
+        for points in ([cfg, other], [other, cfg], [other]):
+            with pytest.raises(ValueError, match="share its evaluator's config"):
+                exhaustive_search(ev, points)
+            with pytest.raises(ValueError, match="share its evaluator's config"):
+                random_search(ev, 10, np.random.default_rng(0), points)
+            with pytest.raises(ValueError, match="share its evaluator's config"):
+                ga_run([ev], [np.random.default_rng(0)], points)
+    # A threshold, an alpha, S or a mutation fraction of its own leaves the table and power shared.
+    shared = replace(cfg, theta_dB=5.0, alpha=0.01, S=3, mutation_fraction=0.5)
+    found = exhaustive_search(ev, [cfg, shared]), random_search(ev, 10, np.random.default_rng(0), [cfg, shared])
+    assert [len(f) for f in found] == [2, 2]
 
 
 def test_random_search_budget_one_and_determinism():
     cfg = _cfg(M=8, N=2, N_vec=16)
     ev = SelectionEvaluator(cfg, _channel(cfg))
-    ((a_sel, a_score),) = random_search([ev], 1, np.random.default_rng(3))
-    ((b_sel, b_score),) = random_search([ev], 1, np.random.default_rng(3))
+    ((a_sel, a_score),) = random_search(ev, 1, np.random.default_rng(3))
+    ((b_sel, b_score),) = random_search(ev, 1, np.random.default_rng(3))
     assert a_sel.tolist() == b_sel.tolist() and a_score == b_score
     with pytest.raises(ValueError):
-        random_search([ev], 0, np.random.default_rng(3))
+        random_search(ev, 0, np.random.default_rng(3))
 
 
 def test_random_search_never_beats_exhaustive():
     cfg = _cfg(M=4, N=2, N_vec=8)
     ev = SelectionEvaluator(cfg, _channel(cfg))
-    ((_, opt),) = exhaustive_search([ev])
-    ((_, found),) = random_search([ev], 25, np.random.default_rng(0))
+    ((_, opt),) = exhaustive_search(ev)
+    ((_, found),) = random_search(ev, 25, np.random.default_rng(0))
     assert found <= opt + 1e-12
 
 
@@ -696,7 +734,7 @@ def test_ga_attains_small_instance_optimum_most_of_the_time():
     trials = 30
     for r in range(trials):
         ev = SelectionEvaluator(cfg, realize_channel(cfg, r))
-        ((_, opt),) = exhaustive_search([ev])
+        ((_, opt),) = exhaustive_search(ev)
         traj = _ga(ev, stream_rng(cfg.seed, r, STREAM_SEARCH))
         final = _raw(traj, ev)[0, -1]
         assert final <= opt + 1e-9  # can never beat the true optimum
@@ -712,7 +750,7 @@ def test_ga_beats_matched_budget_random_search_on_average():
     for r in range(40):
         ev = SelectionEvaluator(cfg, realize_channel(cfg, r))
         traj = _ga(ev, stream_rng(cfg.seed, r, STREAM_SEARCH))
-        ((_, found),) = random_search([ev], cfg.L * cfg.N_it, stream_rng(cfg.seed, r, 2))
+        ((_, found),) = random_search(ev, cfg.L * cfg.N_it, stream_rng(cfg.seed, r, 2))
         ga_scores.append(_raw(traj, ev)[0, -1])
         rs_scores.append(found)
     assert np.mean(ga_scores) > np.mean(rs_scores)
