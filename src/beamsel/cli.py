@@ -101,7 +101,15 @@ def _print_point_table(result, convergence_view: bool) -> None:
         print(f"point {sv}: FAILED: {err.message}", file=sys.stderr)
 
 
+def _check_out(out: str) -> None:
+    """Refuse an --out that cannot become a directory, before any realization runs."""
+    existing = next(p for p in (Path(out), *Path(out).parents) if p.exists())
+    if not existing.is_dir():
+        raise ConfigError(f"--out {out}: {existing} exists and is not a directory")
+
+
 def _run_and_write(ec: ExperimentConfig, args: argparse.Namespace, convergence_view: bool) -> int:
+    _check_out(args.out)
     result = run_experiment(ec, workers=args.workers)
     written = write_result_files(result, args.out)
     _print_point_table(result, convergence_view)
@@ -156,6 +164,7 @@ def command_oracle_check(args: argparse.Namespace, attainment_threshold: float =
     reaches the threshold.
     """
     ec = _load_experiment(args)
+    _check_out(args.out)
     result = run_experiment(replace(ec, sweep_key=None, sweep_values=(), baselines=("exhaustive",)),
                             workers=args.workers)
     if result.errors:

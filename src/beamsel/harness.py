@@ -23,7 +23,6 @@ from .channel import STREAM_BASELINE, STREAM_SEARCH, realize_channel, stream_rng
 from .core import ConfigError, SystemConfig, validate_config
 from .metrics import ObjectiveKind, min_rate_for_threshold
 from .search import (
-    BASELINE_FREE_FIELDS,
     EXHAUSTIVE_CAP,
     STREAM_LAYOUT,
     EvalBatch,
@@ -92,6 +91,8 @@ def apply_override(cfg: SystemConfig, key: str, value) -> SystemConfig:
     if entry.parse is int:
         if isinstance(value, float) and not value.is_integer():
             raise ConfigError(f"key {key!r} takes an integer, got {value!r}")
+        if isinstance(value, float) and abs(value) >= 2**53:  # sweep values are parsed as floats
+            raise ConfigError(f"key {key!r} takes an integer, got {value!r}, past 2**53 where floats round")
         value = int(value)
     elif entry.parse is float:
         value = float(value)
@@ -208,33 +209,27 @@ def _run_realization(ec: ExperimentConfig, cfgs: Sequence[SystemConfig],
                      indices: Sequence[int]) -> list[tuple[GaTrajectory, dict[str, np.ndarray]]]:
     """Run the realizations `indices` of a group of points: each point's block trajectory and baseline scores.
 
-    The points' configs differ only in BASELINE_FREE_FIELDS, which no
-    channel, gain table or power reads, so each realization's channel and
-    evaluator are built once for all of them. The points that share S and
-    mutation_fraction draw the same keys, so their genetic searches run as
-    the lanes of one lockstep block. Then each realization scores each
-    baseline's rows once, from its baseline stream, and every point ranks
-    them under its own objective threshold. A point's baseline scores are
-    one (len(indices),) array per baseline, in index order.
+    The points' configs differ only in theta_dB and alpha, which no channel,
+    gain table, power or random draw reads, so each realization's channel
+    and evaluator are built once for all of them, and their genetic searches
+    run as the lanes of one lockstep block, each ranking under its point's
+    rate threshold. Then each realization scores each baseline's rows once,
+    from its baseline stream, and every point ranks them under its own
+    threshold. A point's baseline scores are one (len(indices),) array per
+    baseline, in index order.
     """
     cfg = cfgs[0]
     evs = [SelectionEvaluator(cfg, realize_channel(cfg, i), ec.objective_kind) for i in indices]
-    lanes: dict[tuple[int, float], list[int]] = {}  # (S, mutation_fraction) -> positions in cfgs
-    for p, c in enumerate(cfgs):
-        lanes.setdefault((c.S, c.mutation_fraction), []).append(p)
-    trajs: list[GaTrajectory | None] = [None] * len(cfgs)
-    for positions in lanes.values():
-        block = ga_run(evs, [stream_rng(cfg.seed, i, STREAM_SEARCH) for i in indices],
-                       [cfgs[p] for p in positions])
-        for p, queens, queen_rates in zip(positions, np.split(block.queens, len(positions)),
-                                          np.split(block.queen_rates, len(positions))):
-            trajs[p] = GaTrajectory(queens, queen_rates)
+    min_rates = [min_rate_for_threshold(c.theta_dB) for c in cfgs]
+    block = ga_run(evs, [stream_rng(cfg.seed, i, STREAM_SEARCH) for i in indices], min_rates)
+    trajs = [GaTrajectory(queens, queen_rates) for queens, queen_rates
+             in zip(np.split(block.queens, len(cfgs)), np.split(block.queen_rates, len(cfgs)))]
     scores = [{name: np.empty(len(indices)) for name in ec.baselines} for _ in cfgs]
     for r, (index, ev) in enumerate(zip(indices, evs)):
         brng = stream_rng(cfg.seed, index, STREAM_BASELINE)
         for name in ec.baselines:
-            found = (random_search(ev, cfg.L * cfg.N_it, brng, cfgs) if name == "random"
-                     else exhaustive_search(ev, cfgs))
+            found = (random_search(ev, cfg.L * cfg.N_it, brng, min_rates) if name == "random"
+                     else exhaustive_search(ev, min_rates))
             for point_scores, (_, score) in zip(scores, found):
                 point_scores[name][r] = score
     return list(zip(trajs, scores))
@@ -360,10 +355,10 @@ def run_experiment(ec: ExperimentConfig, workers: int = 1) -> ExperimentResult:
 
     A point is screened before any of its realizations runs, so an exception
     raised inside a realization is a bug and propagates. The runnable points
-    whose configs differ only in BASELINE_FREE_FIELDS run as one group, so
-    each realization's channel, gain table and baselines are built and
-    scored once for all of them (see _run_realization); each point's
-    wall_seconds is its group's wall time split evenly.
+    whose configs differ only in theta_dB and alpha run as one group, so
+    each realization's channel, gain table, search keys and baselines are
+    built, drawn and scored once for all of them (see _run_realization);
+    each point's wall_seconds is its group's wall time split evenly.
     result.points keeps sweep order.
     Realizations are reduced in index order whatever the worker count, so a
     given (config, seed) pair always produces identical numbers.
@@ -373,13 +368,13 @@ def run_experiment(ec: ExperimentConfig, workers: int = 1) -> ExperimentResult:
     t_start = time.perf_counter()
     result = ExperimentResult(config=ec, workers=workers)
     runnable: list[tuple[float | None, SystemConfig]] = []
-    groups: dict[SystemConfig, list[int]] = {}  # cfg with the free fields reset -> positions in runnable
+    groups: dict[SystemConfig, list[int]] = {}  # cfg with theta_dB and alpha reset -> positions in runnable
     for sweep_value, cfg in ec.points():
         violations = ec.violations(cfg)
         if violations:
             result.errors.append(PointError(sweep_value, "invalid configuration: " + "; ".join(violations)))
         else:
-            key = replace(cfg, **{f: getattr(ec.base, f) for f in BASELINE_FREE_FIELDS})
+            key = replace(cfg, theta_dB=ec.base.theta_dB, alpha=ec.base.alpha)
             groups.setdefault(key, []).append(len(runnable))
             runnable.append((sweep_value, cfg))
     points: list[SweepPointResult | None] = [None] * len(runnable)

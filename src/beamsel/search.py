@@ -12,7 +12,7 @@ import functools
 import itertools
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,12 +46,6 @@ def n_replaced(mutation_fraction: float, n: int) -> int:
     due to binary representation.
     """
     return max(1, math.ceil(mutation_fraction * n - 1e-9))
-
-
-# Config fields that no channel, gain table, power or baseline draw reads:
-# one evaluator serves every sweep point that differs from its config only in
-# these, and such points share their baselines' scoring.
-BASELINE_FREE_FIELDS = ("theta_dB", "alpha", "S", "mutation_fraction")
 
 
 class EvalBatch:
@@ -275,38 +269,31 @@ class GaTrajectory:
     queen_rates: np.ndarray  # (lanes, N_it, N)
 
 
-def _thresholds(ev: SelectionEvaluator, points: Sequence[SystemConfig] | None) -> list[float]:
-    """Each point's rate threshold, for a search that scores ev's rows once for all of them.
+def _min_rates(ev: SelectionEvaluator, min_rates: Sequence[float] | None) -> list[float]:
+    """The rate thresholds a search ranks ev's rows under: min_rates, by default ev's own.
 
-    points default to ev's own config. A point may differ from ev.cfg only
-    in BASELINE_FREE_FIELDS, which its gain table and power do not read;
-    ValueError otherwise. Each point is validated, since ev validated only
-    its own config.
+    ValueError for an empty list or a NaN threshold, which no compare can
+    rank under; inf (theta_dB = inf) and 0 (theta_dB = -inf) are thresholds.
     """
-    if points is None:
+    if min_rates is None:
         return [ev._min_rate]
-    shared = {f: getattr(ev.cfg, f) for f in BASELINE_FREE_FIELDS}
-    for p in points:
-        if replace(p, **shared) != ev.cfg:
-            raise ValueError("every point must share its evaluator's config apart from "
-                             + ", ".join(BASELINE_FREE_FIELDS))
-        require_valid(p)
-    return [min_rate_for_threshold(p.theta_dB) for p in points]
+    min_rates = list(min_rates)
+    if not min_rates or any(math.isnan(t) for t in min_rates):
+        raise ValueError(f"a search needs one or more rate thresholds, none NaN, got {min_rates}")
+    return min_rates
 
 
 def ga_run(evaluators: Sequence[SelectionEvaluator], rngs: Sequence[np.random.Generator],
-           points: Sequence[SystemConfig] | None = None) -> GaTrajectory:
+           min_rates: Sequence[float] | None = None) -> GaTrajectory:
     """Run the elitist genetic search on a block of lanes in lockstep.
 
     evaluators[r] holds realization r's channel and rngs[r] its search
-    stream; every evaluator must share one config and objective. points are
-    the sweep points whose searches the block runs, by default the
-    evaluators' own config; they may differ from it in BASELINE_FREE_FIELDS,
-    but from each other only in theta_dB and alpha, since S and
-    mutation_fraction shape the keys. The block has a lane per point and
-    realization, point-major: lane p * R + r runs point p on realization r,
-    ranking its members under point p's threshold, and row p * R + r of the
-    trajectory is its record.
+    stream; every evaluator must share one config and objective, whose L, S,
+    mutation_fraction and N_it the search reads. min_rates are the rate
+    thresholds its lanes rank under, by default the evaluators' own. The
+    block has a lane per threshold and realization, threshold-major: lane
+    p * R + r ranks realization r's members under min_rates[p], and row
+    p * R + r of the trajectory is its record.
 
     Each generation scores all L members, crowns the best as Queen (ties go
     to the lowest population index), then builds the next generation from
@@ -325,17 +312,13 @@ def ga_run(evaluators: Sequence[SelectionEvaluator], rngs: Sequence[np.random.Ge
     kind = ev0.kind
     if any(ev.cfg != ev0.cfg or ev.kind is not kind for ev in evaluators):
         raise ValueError("ga_run needs evaluators that share one config and one objective")
-    points = [ev0.cfg] if points is None else list(points)
-    min_rates = _thresholds(ev0, points)
-    if not points or any(replace(p, theta_dB=points[0].theta_dB, alpha=points[0].alpha) != points[0]
-                         for p in points):
-        raise ValueError("ga_run needs one or more points that differ only in theta_dB and alpha")
-    cfg = points[0]
+    min_rates = _min_rates(ev0, min_rates)
+    cfg = ev0.cfg
     r, n, n_vec, s = len(evaluators), cfg.N, cfg.N_vec, cfg.S
-    lanes = len(points) * r
+    lanes = len(min_rates) * r
     # Lane i gathers from realization i % R's table, at rows (i % R) * N_vec..
-    # of the stacked gain tables, and ranks under its point's threshold.
-    realization = np.tile(np.arange(r), len(points))
+    # of the stacked gain tables, and ranks under its own threshold.
+    realization = np.tile(np.arange(r), len(min_rates))
     table = np.concatenate([ev._column_gains for ev in evaluators])
     offsets = (realization * n_vec)[:, None, None]
     member_min_rates = np.repeat(min_rates, r * cfg.L)
@@ -366,7 +349,7 @@ def ga_run(evaluators: Sequence[SelectionEvaluator], rngs: Sequence[np.random.Ge
             chunk = keys[:, :g]
             slots, picks = rank_mutation_keys(chunk[..., :s * width].reshape(r, g, s, width), cfg)
             fresh = chunk[..., s * width:].reshape(r, g, -1, n_vec).argsort(axis=-1)[..., :n]
-            # Every point's lane of a realization reuses its ranked keys.
+            # Every lane of a realization reuses its ranked keys.
             slots, picks, fresh = slots[realization], picks[realization], fresh[realization]
         pop[:, 0] = queen
         pop[:, 1:s + 1] = mutate(queen, slots[:, j], picks[:, j], n_vec)
@@ -426,13 +409,12 @@ def _ordered_selections(n_vec: int, n: int) -> np.ndarray:
 
 
 def exhaustive_search(ev: SelectionEvaluator,
-                      points: Sequence[SystemConfig] | None = None) -> list[tuple[np.ndarray, float]]:
-    """Score every ordered selection, from the per-shape table, once for a group of sweep points.
+                      min_rates: Sequence[float] | None = None) -> list[tuple[np.ndarray, float]]:
+    """Score every ordered selection, from the per-shape table, once for several rate thresholds.
 
-    points default to ev's own config and may differ from it only in
-    BASELINE_FREE_FIELDS (ValueError otherwise). Returns each point's (best
-    row, raw score), ranked under ev's objective at the point's threshold;
-    the score is the undiscounted objective: sum rate, served-rate sum, or
+    min_rates default to ev's own threshold. Returns each threshold's (best
+    row, raw score), ranked under ev's objective at that threshold; the
+    score is the undiscounted objective: sum rate, served-rate sum, or
     served count. Ties resolve to the first optimum in lexicographic
     enumeration order. Refuses to run when the space exceeds EXHAUSTIVE_CAP.
     """
@@ -441,23 +423,23 @@ def exhaustive_search(ev: SelectionEvaluator,
     if size > EXHAUSTIVE_CAP:
         raise SearchSpaceError(
             f"{size} ordered selections exceed the exhaustive cap of {EXHAUSTIVE_CAP}; shrink N_vec/N")
-    min_rates = _thresholds(ev, points)
+    min_rates = _min_rates(ev, min_rates)
     table = _ordered_selections(cfg.N_vec, cfg.N)
     return _best_of_chunks(ev, min_rates, (table[s:s + CHUNK] for s in range(0, size, CHUNK)))
 
 
 def random_search(ev: SelectionEvaluator, budget: int, rng: np.random.Generator,
-                  points: Sequence[SystemConfig] | None = None) -> list[tuple[np.ndarray, float]]:
-    """Score `budget` uniform selections once for a group of sweep points.
+                  min_rates: Sequence[float] | None = None) -> list[tuple[np.ndarray, float]]:
+    """Score `budget` uniform selections once for several rate thresholds.
 
-    points are as for exhaustive_search, and so is the result: each point's
-    (best row, raw score). The matched-budget baseline for the genetic
-    search is budget = L * N_it. Ties resolve to the earliest draw.
+    min_rates are as for exhaustive_search, and so is the result: each
+    threshold's (best row, raw score). The matched-budget baseline for the
+    genetic search is budget = L * N_it. Ties resolve to the earliest draw.
     """
     cfg = ev.cfg
     if budget < 1:
         raise ValueError(f"budget must be at least 1, got {budget}")
-    min_rates = _thresholds(ev, points)
+    min_rates = _min_rates(ev, min_rates)
 
     def chunks():
         for start in range(0, budget, CHUNK):

@@ -3,6 +3,7 @@ import time
 import numpy as np
 import pytest
 
+import beamsel.cli as cli
 from beamsel.channel import STREAM_SEARCH, realize_channel, stream_rng
 from beamsel.cli import (
     _load_experiment,
@@ -176,6 +177,35 @@ def test_validate_command(tmp_path, capsys):
     assert "error: --set: " in capsys.readouterr().err
     assert main(["validate", "--config", str(p), "--set", "baselines=random,random"]) == 1
     assert "error: baselines lists a name more than once" in capsys.readouterr().err
+
+
+def test_integer_sweep_value_past_float_precision_is_refused(tmp_path, capsys):
+    # Sweep values are read as floats, which would run 2**53 + 1 as 2**53;
+    # --set keeps an integer key exact.
+    p = _write(tmp_path, TINY_CONFIG + "sweep = seed\nsweep_values = 9007199254740993\n")
+    assert main(["validate", "--config", str(p)]) == 1
+    captured = capsys.readouterr()
+    assert "configuration valid" not in captured.out
+    assert "error: key 'seed' takes an integer, got 9007199254740992.0" in captured.err
+    assert main(["validate", "--config", str(_write(tmp_path, TINY_CONFIG)),
+                 "--set", "seed=9007199254740993"]) == 0
+    assert _load_experiment(build_parser().parse_args(
+        ["run", "--config", str(p), "--set", "seed=9007199254740993"])).base.seed == 2**53 + 1
+
+
+@pytest.mark.parametrize("command", ["run", "sweep", "convergence", "oracle-check"])
+def test_out_that_cannot_be_a_directory_is_refused_before_running(tmp_path, capsys, monkeypatch, command):
+    def no_run(*args, **kwargs):
+        raise AssertionError("a realization ran")
+
+    monkeypatch.setattr(cli, "run_experiment", no_run)
+    p = _write(tmp_path, TINY_CONFIG + "sweep = P_dB\nsweep_values = 0, 10\n")
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory")
+    for out in (taken, taken / "below"):
+        assert main([command, "--config", str(p), "--out", str(out)]) == 1
+        assert f"error: --out {out}: {taken} exists and is not a directory" in capsys.readouterr().err
+    assert taken.read_text() == "not a directory"
 
 
 def test_validate_reports_each_sweep_point(tmp_path, capsys):

@@ -198,12 +198,16 @@ def test_one_evaluator_per_realization(monkeypatch):
     result = run_experiment(ec)
     assert not result.errors and set(result.points[0].baseline_means) == {"random", "exhaustive"}
     assert len(builds) == 3 and realized == [0, 1, 2]
-    builds.clear()
-    realized.clear()
-    result = run_experiment(replace(ec, sweep_key="theta_dB", sweep_values=(-3.0, 0.0, 3.0)))
-    assert not result.errors and len(result.points) == 3
-    assert realized == [0, 1, 2]
-    assert len(builds) == 3
+    # A theta_dB or alpha sweep is one group; S and mutation_fraction shape
+    # the search's keys, so each of their points is a group of its own.
+    sweeps = {"theta_dB": ((-3.0, 0.0, 3.0), 3), "alpha": ((0.0, 0.01, 0.02), 3),
+              "S": ((3.0, 4.0, 5.0), 9), "mutation_fraction": ((0.1, 0.5, 1.0), 9)}
+    for key, (values, tables) in sweeps.items():
+        builds.clear()
+        realized.clear()
+        result = run_experiment(replace(ec, sweep_key=key, sweep_values=values))
+        assert not result.errors and len(result.points) == 3
+        assert len(builds) == len(realized) == tables, key
 
 
 def test_run_experiment_shapes_and_determinism():
@@ -417,12 +421,15 @@ def _assert_same_point(got: SweepPointResult, want: SweepPointResult, what) -> N
     *[(kind, "theta_dB", (-4.0, 0.0, 4.0, 0.0)) for kind in ObjectiveKind],
     (ObjectiveKind.OUTAGE_COUNT, "alpha", (0.0, 0.01, 0.0)),
     (ObjectiveKind.OUTAGE_THROUGHPUT, "S", (3.0, 5.0, 3.0)),
-], ids=[*(f"theta-{kind.value}" for kind in ObjectiveKind), "alpha-outage_count", "S-outage_throughput"])
+    (ObjectiveKind.OUTAGE_COUNT, "mutation_fraction", (0.5, 0.1, 0.5)),
+], ids=[*(f"theta-{kind.value}" for kind in ObjectiveKind), "alpha-outage_count", "S-outage_throughput",
+        "mutation_fraction-outage_count"])
 def test_group_points_match_each_point_alone(kind, key, values):
-    # The points of a group share each realization's evaluator, and those
-    # that share S and mutation_fraction run as the lanes of one GA block.
-    # Every point's result must have the bits of that point run on its own,
-    # field by field; a repeated value keeps both of its points.
+    # The points of a theta_dB or alpha group share each realization's
+    # evaluator and run as the lanes of one GA block; S and mutation_fraction
+    # points run as groups of their own. Every point's result must have the
+    # bits of that point run on its own, field by field; a repeated value
+    # keeps both of its points.
     base = _base(M=8, N=4, N_vec=16, N_it=20, P_dB=0.0, theta_dB=-2.0, realizations=5)
     ec = ExperimentConfig(base=base, objective_kind=kind, sweep_key=key, sweep_values=values,
                           baselines=("random", "exhaustive"))

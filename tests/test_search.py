@@ -10,7 +10,7 @@ from beamsel.channel import realize_channel, stream_rng, STREAM_SEARCH
 from beamsel.codebook import build_dft_codebook
 from beamsel.core import ComplexMatrix, DimensionError, PaParams, SystemConfig, db_to_linear
 from beamsel.harness import delay_weighted
-from beamsel.metrics import ObjectiveKind, pa_output_power, rates
+from beamsel.metrics import ObjectiveKind, min_rate_for_threshold, pa_output_power, rates
 import beamsel.search as search
 from beamsel.search import (
     EvalBatch,
@@ -560,29 +560,46 @@ def test_ga_run_needs_one_config_objective_and_stream_per_evaluator():
 
 @pytest.mark.parametrize("kind", list(ObjectiveKind))
 def test_ga_lanes_match_each_point_alone(kind):
-    # Points that differ in theta_dB or alpha run as the lanes of one block
-    # that draws and ranks each realization's keys once. Every lane must have
-    # the bits of its point run alone, in point-major order, with a repeated
-    # point keeping its own lanes.
+    # Thresholds run as the lanes of one block that draws and ranks each
+    # realization's keys once. Every lane must have the bits of a search
+    # whose evaluator was built at that threshold's theta_dB, run alone, in
+    # threshold-major order, with a repeated threshold keeping its own lanes.
     cfg = _cfg(M=8, N=4, N_vec=16, N_it=30, P_dB=0.0)
     evs = [SelectionEvaluator(cfg, _channel(cfg, r), kind) for r in range(3)]
-    points = [replace(cfg, theta_dB=t, alpha=a) for t, a in ((-4.0, 0.001), (2.0, 0.0), (-4.0, 0.01))]
-    block = ga_run(evs, [stream_rng(cfg.seed, r, STREAM_SEARCH) for r in range(3)], points)
+    thetas = (-4.0, 2.0, -4.0)
+    block = ga_run(evs, [stream_rng(cfg.seed, r, STREAM_SEARCH) for r in range(3)],
+                   [min_rate_for_threshold(t) for t in thetas])
     assert block.queens.shape == block.queen_rates.shape == (9, 30, 4)
-    for p, point in enumerate(points):
+    for p, theta in enumerate(thetas):
         for r in range(3):
-            alone = ga_run([SelectionEvaluator(point, _channel(cfg, r), kind)],
+            alone = ga_run([SelectionEvaluator(replace(cfg, theta_dB=theta), _channel(cfg, r), kind)],
                            [stream_rng(cfg.seed, r, STREAM_SEARCH)])
             for field in ("queens", "queen_rates"):
                 assert getattr(block, field)[3 * p + r].tobytes() == getattr(alone, field)[0].tobytes(), (p, r)
     if kind is not ObjectiveKind.THROUGHPUT:
         assert block.queens[:3].tobytes() != block.queens[3:6].tobytes()  # the thresholds steer the search
-    # S and mutation_fraction shape the keys, so points that differ in them cannot share lanes.
-    for other in (replace(cfg, S=3), replace(cfg, mutation_fraction=0.5)):
-        with pytest.raises(ValueError, match="differ only in theta_dB and alpha"):
-            ga_run(evs[:1], [np.random.default_rng(0)], [cfg, other])
-    with pytest.raises(ValueError, match="one or more points"):
-        ga_run(evs[:1], [np.random.default_rng(0)], [])
+
+
+def test_searches_need_one_or_more_thresholds_none_nan():
+    # An empty threshold list or a NaN threshold has nothing to rank under.
+    # theta_dB = inf and -inf give the thresholds inf, which serves nobody,
+    # and 0, which serves everybody.
+    cfg = _cfg(M=4, N=2, N_vec=8, N_it=5)
+    ev = SelectionEvaluator(cfg, _channel(cfg), ObjectiveKind.OUTAGE_COUNT)
+    searches = (lambda t: ga_run([ev], [np.random.default_rng(0)], t),
+                lambda t: random_search(ev, 10, np.random.default_rng(0), t),
+                lambda t: exhaustive_search(ev, t))
+    for search_under in searches:
+        for bad in ([], [float("nan")], [0.5, float("nan")]):
+            with pytest.raises(ValueError, match="one or more rate thresholds, none NaN"):
+                search_under(bad)
+    edges = [min_rate_for_threshold(t) for t in (np.inf, -np.inf)]
+    assert edges == [np.inf, 0.0]
+    for found in (searches[1](edges), searches[2](edges)):
+        assert [score for _, score in found] == [0.0, cfg.N]
+    traj = searches[0](edges)
+    for lane, served in enumerate((0, cfg.N)):
+        assert (EvalBatch(ev.kind, traj.queen_rates[lane], edges[lane]).raw == served).all()
 
 
 def test_search_space_size():
@@ -687,27 +704,6 @@ def test_exhaustive_count_objective_returns_served_count():
     assert score == every.served.max()
     tied = every.served == every.served.max()
     assert every.total_sum[tied].max() == pytest.approx(float(batch.total_sum[0]), rel=1e-14)
-
-
-def test_baseline_group_needs_one_gain_table_and_power():
-    # One evaluator scores a group's rows for every point, so a point whose
-    # channel, power or codebook would differ from the evaluator's is refused.
-    cfg = _cfg(M=8, N=2, N_vec=16, P_dB=0.0)
-    ev = SelectionEvaluator(cfg, _channel(cfg))
-    differing = {"channel": replace(cfg, k=1.0), "power": replace(cfg, P_dB=3.0),
-                 "codebook": replace(cfg, N_vec=8)}
-    for what, other in differing.items():
-        for points in ([cfg, other], [other, cfg], [other]):
-            with pytest.raises(ValueError, match="share its evaluator's config"):
-                exhaustive_search(ev, points)
-            with pytest.raises(ValueError, match="share its evaluator's config"):
-                random_search(ev, 10, np.random.default_rng(0), points)
-            with pytest.raises(ValueError, match="share its evaluator's config"):
-                ga_run([ev], [np.random.default_rng(0)], points)
-    # A threshold, an alpha, S or a mutation fraction of its own leaves the table and power shared.
-    shared = replace(cfg, theta_dB=5.0, alpha=0.01, S=3, mutation_fraction=0.5)
-    found = exhaustive_search(ev, [cfg, shared]), random_search(ev, 10, np.random.default_rng(0), [cfg, shared])
-    assert [len(f) for f in found] == [2, 2]
 
 
 def test_random_search_budget_one_and_determinism():
