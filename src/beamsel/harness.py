@@ -198,10 +198,11 @@ def rate_cdf(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 # Most lanes one _run_realization call advances in lockstep, where a lane is
-# one point's search on one realization: a block of a group of P points holds
-# BLOCK_CAP // P realizations, and at least one. It bounds the block's arrays
-# (per-generation gathers, trajectories) the way KEY_CHUNK_BYTES bounds its
-# keys; no result depends on it.
+# one rate threshold's search on one realization. A group of P points has at
+# most P thresholds, so its blocks hold BLOCK_CAP // P realizations, and at
+# least one. It bounds the block's arrays (per-generation gathers,
+# trajectories) the way KEY_CHUNK_BYTES bounds its keys; no result depends
+# on it.
 BLOCK_CAP = 64
 
 
@@ -211,28 +212,34 @@ def _run_realization(ec: ExperimentConfig, cfgs: Sequence[SystemConfig],
 
     The points' configs differ only in theta_dB and alpha, which no channel,
     gain table, power or random draw reads, so each realization's channel
-    and evaluator are built once for all of them, and their genetic searches
-    run as the lanes of one lockstep block, each ranking under its point's
-    rate threshold. Then each realization scores each baseline's rows once,
-    from its baseline stream, and every point ranks them under its own
-    threshold. A point's baseline scores are one (len(indices),) array per
-    baseline, in index order.
+    and evaluator are built once for all of them. No search reads alpha, and
+    the throughput objective reads no threshold either, so the searches run
+    once per distinct rate threshold (once in all under throughput): the
+    genetic searches as the lanes of one lockstep block, each ranking under
+    its threshold, and each realization's baselines from its baseline
+    stream, scoring each row once and ranking it under every threshold.
+    Each point then takes its threshold's trajectory and baseline scores,
+    one (len(indices),) array per baseline, in index order; points that
+    share a threshold share those arrays.
     """
     cfg = cfgs[0]
     evs = [SelectionEvaluator(cfg, realize_channel(cfg, i), ec.objective_kind) for i in indices]
-    min_rates = [min_rate_for_threshold(c.theta_dB) for c in cfgs]
+    point_rates = [min_rate_for_threshold(c.theta_dB) for c in cfgs]
+    if ec.objective_kind is ObjectiveKind.THROUGHPUT:
+        point_rates = point_rates[:1] * len(cfgs)
+    min_rates = list(dict.fromkeys(point_rates))
     block = ga_run(evs, [stream_rng(cfg.seed, i, STREAM_SEARCH) for i in indices], min_rates)
     trajs = [GaTrajectory(queens, queen_rates) for queens, queen_rates
-             in zip(np.split(block.queens, len(cfgs)), np.split(block.queen_rates, len(cfgs)))]
-    scores = [{name: np.empty(len(indices)) for name in ec.baselines} for _ in cfgs]
+             in zip(np.split(block.queens, len(min_rates)), np.split(block.queen_rates, len(min_rates)))]
+    scores = [{name: np.empty(len(indices)) for name in ec.baselines} for _ in min_rates]
     for r, (index, ev) in enumerate(zip(indices, evs)):
         brng = stream_rng(cfg.seed, index, STREAM_BASELINE)
         for name in ec.baselines:
             found = (random_search(ev, cfg.L * cfg.N_it, brng, min_rates) if name == "random"
                      else exhaustive_search(ev, min_rates))
-            for point_scores, (_, score) in zip(scores, found):
-                point_scores[name][r] = score
-    return list(zip(trajs, scores))
+            for threshold_scores, (_, score) in zip(scores, found):
+                threshold_scores[name][r] = score
+    return [(trajs[i], scores[i]) for i in map(min_rates.index, point_rates)]
 
 
 @dataclass

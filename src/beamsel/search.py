@@ -56,19 +56,21 @@ class EvalBatch:
     per member, shaped like the leading axes; a compare against a member's
     own threshold gives the bits of a compare against the same float.
     Scoring computes only what ranking reads: raw, which for the count
-    objective is the served counts. The other fields are derived from
-    user_rates on first read. Every per-member sum runs over that member's
-    own C-contiguous row, so a member's scores do not depend on the batch
-    around it or on its shape.
+    objective is the served counts and for throughput is also total_sum and
+    weighted_base. The other fields are derived from user_rates on first
+    read. Every per-member sum runs over that member's own C-contiguous row,
+    so a member's scores do not depend on the batch around it or on its
+    shape.
     """
 
     def __init__(self, kind: ObjectiveKind, user_rates: np.ndarray, min_rate: float | np.ndarray):
         self.kind = kind
         self.user_rates = user_rates  # (..., N)
         self._min_rate = min_rate  # float or (...,)
-        # (...,) undiscounted objective scalar
+        # (...,) undiscounted objective scalar. Throughput's is set here, not
+        # read through the cached properties, whose first read takes a lock.
         if kind is ObjectiveKind.THROUGHPUT:
-            self.raw = self.total_sum
+            self.raw = self.total_sum = self.weighted_base = user_rates.sum(axis=-1)
         elif kind is ObjectiveKind.OUTAGE_THROUGHPUT:
             self.raw = self.weighted_base
         else:
@@ -87,8 +89,6 @@ class EvalBatch:
     @functools.cached_property
     def weighted_base(self) -> np.ndarray:
         """(...,) the rate sum the delay factor multiplies: the served users' rates for outage objectives."""
-        if self.kind is ObjectiveKind.THROUGHPUT:
-            return self.total_sum
         return self.served_rates.sum(axis=-1)
 
     @functools.cached_property
@@ -122,7 +122,7 @@ def rank_best(kind: ObjectiveKind, raw: np.ndarray, user_rates: np.ndarray) -> i
         tie_break = np.full(raw.shape, -np.inf)
         tie_break[tied] = user_rates[tied].sum(axis=-1)
         raw = tie_break
-    best = np.argmax(raw, axis=-1)
+    best = raw.argmax(axis=-1)
     return int(best) if best.ndim == 0 else best
 
 
@@ -186,12 +186,13 @@ def _score_rows(column_gains: np.ndarray, rows: np.ndarray, p_over_m: float,
     """
     # gains[j, b, i] = power user i receives from member b's j-th beam.
     # Slot-major, so the sum over beams adds contiguous (B, N) planes in slot
-    # order. np.take copies whole rows, several times faster than the
+    # order. take copies whole rows, several times faster than the
     # equivalent fancy index. The diagonal is copied out of its strided view
     # once, so the subtraction and the SINR read contiguous rows.
-    gains = np.take(column_gains, rows.T, axis=0)
+    gains = column_gains.take(rows.T, axis=0)
     signal = np.ascontiguousarray(np.einsum("ibi->bi", gains))
-    interference = gains.sum(axis=0) - signal
+    interference = gains.sum(axis=0)
+    interference -= signal
     snr = sinr_from_components(signal, interference, p_over_m)
     return EvalBatch(kind, rates(snr), min_rate)
 
@@ -220,12 +221,22 @@ def rank_mutation_keys(keys: np.ndarray, cfg: SystemConfig) -> tuple[np.ndarray,
     among those columns, of the min(k, N_vec - N) smallest. Neither depends on
     the parent, so a whole block of generations is ranked at once. Zero-width
     keys give empty slots, and mutate then returns copies.
+
+    A one-slot mutation keeps only each run's smallest key, so it takes
+    argmin rather than sorting the run, and a repeated minimum goes to the
+    lowest index. argsort leaves the order of equal keys unspecified, so the
+    two agree whenever a run's smallest key is unique; a tie needs two equal
+    53-bit uniform keys.
     """
     n = cfg.N
     k = 2 if cfg.N_vec == n else n_replaced(cfg.mutation_fraction, n)
-    slots = keys[..., :n].argsort(axis=-1)[..., :k]
-    picks = keys[..., n:].argsort(axis=-1)[..., :k]
-    return slots, picks
+
+    def smallest(run: np.ndarray) -> np.ndarray:
+        if k == 1 and run.shape[-1]:
+            return run.argmin(axis=-1)[..., None]
+        return run.argsort(axis=-1)[..., :k]
+
+    return smallest(keys[..., :n]), smallest(keys[..., n:])
 
 
 def mutate(parents: np.ndarray, slots: np.ndarray, picks: np.ndarray, n_vec: int) -> np.ndarray:
@@ -247,11 +258,11 @@ def mutate(parents: np.ndarray, slots: np.ndarray, picks: np.ndarray, n_vec: int
     else:
         unused = np.ones((r, n_vec), dtype=bool)
         unused[lane[:, 0], parents] = False
-        free = np.nonzero(unused)[1].reshape(r, n_vec - n)  # each row's unused columns, in order
+        free = unused.nonzero()[1].reshape(r, n_vec - n)  # each row's unused columns, in order
         new = free[lane, picks]
         if new.shape[2] < k:
             new = np.concatenate([new, parents[lane, slots[..., :k - new.shape[2]]]], axis=2)
-    children = np.repeat(parents[:, None, :], count, axis=1)
+    children = parents[:, None, :].repeat(count, axis=1)
     children[lane, np.arange(count)[:, None], slots] = new
     return children
 
@@ -323,6 +334,7 @@ def ga_run(evaluators: Sequence[SelectionEvaluator], rngs: Sequence[np.random.Ge
     offsets = (realization * n_vec)[:, None, None]
     member_min_rates = np.repeat(min_rates, r * cfg.L)
     lane_index = np.arange(lanes)
+    lane_rows = lane_index * cfg.L  # each lane's first row in a generation's batch
     pop = np.stack([init_population(cfg, rng) for rng in rngs])[realization]  # (lanes, L, N)
     queens = np.empty((lanes, cfg.N_it, n), dtype=np.int64)
     queen_rates = np.empty((lanes, cfg.N_it, n), dtype=np.float64)
@@ -338,7 +350,7 @@ def ga_run(evaluators: Sequence[SelectionEvaluator], rngs: Sequence[np.random.Ge
         best = rank_best(kind, batch.raw.reshape(lanes, -1), batch.user_rates.reshape(lanes, -1, n))
         queen = pop[lane_index, best]
         queens[:, it] = queen
-        queen_rates[:, it] = batch.user_rates[lane_index * cfg.L + best]
+        queen_rates[:, it] = batch.user_rates[lane_rows + best]
         if it + 1 == cfg.N_it:
             break
         j = it % span

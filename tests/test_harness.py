@@ -441,6 +441,30 @@ def test_group_points_match_each_point_alone(kind, key, values):
         _assert_same_point(pt, alone.points[0], (key, i))
 
 
+
+@pytest.mark.parametrize("kind,key,values,thresholds", [
+    (ObjectiveKind.OUTAGE_COUNT, "alpha", (0.0, 0.01, 0.02), 1),
+    (ObjectiveKind.THROUGHPUT, "theta_dB", (-4.0, 0.0, 4.0), 1),
+    (ObjectiveKind.OUTAGE_THROUGHPUT, "theta_dB", (-4.0, 0.0, -4.0), 2),
+], ids=["alpha-outage_count", "theta-throughput", "theta-repeated-outage_throughput"])
+def test_group_runs_one_lane_per_distinct_threshold(monkeypatch, kind, key, values, thresholds):
+    # No search reads alpha, and throughput reads no threshold, so a group's
+    # block holds one lane per realization and distinct threshold, not one
+    # per point.
+    lanes = []
+
+    def counting_ga_run(evaluators, rngs, min_rates=None):
+        block = ga_run(evaluators, rngs, min_rates)
+        lanes.append(block.queens.shape[0])
+        return block
+
+    monkeypatch.setattr(harness, "ga_run", counting_ga_run)
+    ec = ExperimentConfig(base=_base(N_it=10, realizations=4), objective_kind=kind,
+                          sweep_key=key, sweep_values=values, baselines=("random",))
+    result = run_experiment(ec)
+    assert not result.errors and len(result.points) == 3
+    assert lanes == [thresholds * 4]
+
 def test_sweep_keeps_every_point_in_sweep_order():
     # P_dB changes the power, so 0 and 10 are two groups; the repeated 0 runs
     # with the first one and both keep their place.

@@ -255,6 +255,41 @@ def test_mutate_block_matches_one_parent_at_a_time():
             _assert_valid(block[r], cfg.N_vec)
 
 
+
+def _argsort_reference(keys, cfg):
+    """(slots, picks) as rank_mutation_keys defines them, from a stable argsort of each run of keys."""
+    n = cfg.N
+    k = 2 if cfg.N_vec == n else n_replaced(cfg.mutation_fraction, n)
+    return tuple(run.argsort(axis=-1, kind="stable")[..., :k] for run in (keys[..., :n], keys[..., n:]))
+
+
+@pytest.mark.parametrize("shape", [
+    dict(M=2, N=1, N_vec=2),                           # k = 1, one slot key and one pick key
+    dict(M=4, N=2, N_vec=4),                           # k = 1, runs of two keys
+    dict(M=32, N=8, N_vec=128),                        # k = 1, 120 pick keys
+    dict(M=8, N=4, N_vec=16, mutation_fraction=0.5),   # k = 2
+    dict(M=8, N=6, N_vec=8, mutation_fraction=1.0),    # k = 6, only two pick keys
+    dict(M=6, N=6, N_vec=6),                           # N == N_vec: two slots, no pick keys
+    dict(M=1, N=1, N_vec=1),                           # zero-width keys
+], ids=["k1_width1", "k1_width2", "k1_width120", "k2", "k6_two_picks", "full_codebook", "single_column"])
+def test_rank_mutation_keys_matches_argsort_reference(shape):
+    # A one-slot mutation takes each run's smallest key by argmin; every
+    # other shape sorts. Random keys have no ties, so either way the ranks
+    # must equal a stable argsort's, in shape and dtype too.
+    cfg = _cfg(**shape)
+    width = cfg.N_vec if cfg.N_vec > 1 else 0
+    keys = np.random.default_rng(5).random((3, 4, 5, width))
+    for got, want in zip(rank_mutation_keys(keys, cfg), _argsort_reference(keys, cfg)):
+        assert (got.dtype, got.shape) == (want.dtype, want.shape)
+        np.testing.assert_array_equal(got, want)
+
+
+def test_rank_mutation_keys_breaks_a_repeated_minimum_toward_the_lowest_index():
+    cfg = _cfg(M=8, N=4, N_vec=8)  # one slot replaced
+    keys = np.array([[0.5, 0.25, 0.75, 0.25, 0.875, 0.125, 0.375, 0.125]])
+    slots, picks = rank_mutation_keys(keys, cfg)
+    assert slots.tolist() == [[1]] and picks.tolist() == [[1]]
+
 def test_evaluator_matches_reference_op_chain():
     cfg = _cfg(M=8, N=4, N_vec=16, P_dB=10.0)
     h = _channel(cfg)
@@ -413,6 +448,20 @@ def test_eval_batch_scores_a_block_as_its_flat_reshape(n, kind):
         assert block.raw[r].tobytes() == ev.evaluate(traj.queens[r]).raw.tobytes(), r
 
 
+
+@pytest.mark.parametrize("n", [1, 4, 12])
+def test_eval_batch_shares_the_rate_sum_arrays(n):
+    # _aggregate reads raw and weighted_base and keeps one example curve when
+    # they are one array: under throughput the plain sum is both, and under
+    # outage_throughput the served-rate sum is both.
+    user_rates = np.random.default_rng(n).random((3, 5, n))
+    batch = EvalBatch(ObjectiveKind.THROUGHPUT, user_rates, 0.5)
+    assert batch.raw is batch.total_sum is batch.weighted_base
+    assert batch.raw.tobytes() == user_rates.sum(axis=-1).tobytes()
+    batch = EvalBatch(ObjectiveKind.OUTAGE_THROUGHPUT, user_rates, 0.5)
+    assert batch.raw is batch.weighted_base
+    assert batch.raw.tobytes() == np.where(user_rates >= 0.5, user_rates, 0.0).sum(axis=-1).tobytes()
+
 class _TableEvaluator:
     """Stands in for SelectionEvaluator under the count objective: selection [i] scores rates[i]."""
 
@@ -458,6 +507,25 @@ def test_ga_scores_never_decrease():
     assert raw.shape == (1, 60)
     assert np.all(np.diff(raw, axis=-1) >= 0.0)
 
+
+
+def test_ga_run_calls_the_population_steps_through_their_module_names(monkeypatch):
+    # A tracer that rebinds search.mutate and search._draw_selection must see
+    # every call: one mutate per generation after the first, and one initial
+    # draw per realization.
+    calls = {"mutate": 0, "_draw_selection": 0}
+    for name in calls:
+        original = getattr(search, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(search, name, counted)
+    cfg = _cfg(M=8, N=4, N_vec=16, N_it=12)
+    evs = [SelectionEvaluator(cfg, _channel(cfg, r)) for r in range(3)]
+    ga_run(evs, [np.random.default_rng(r) for r in range(3)])
+    assert calls == {"mutate": cfg.N_it - 1, "_draw_selection": 3}
 
 def test_ga_deterministic_given_stream():
     cfg = _cfg(M=8, N=2, N_vec=16, N_it=25)
