@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
+from dataclasses import MISSING, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +25,9 @@ from .core import ConfigError, SystemConfig
 from .harness import ExperimentConfig, _write_csv, apply_settings, run_experiment, write_result_files
 from .search import search_space_size
 
-REQUIRED_KEYS = ("M", "N", "N_vec")
+REQUIRED_KEYS = tuple(f.name for f in fields(SystemConfig) if f.default is MISSING)
+ORACLE_TOLERANCE = 1e-9
+ORACLE_ATTAINMENT = 0.95
 
 
 def _parse_lines(text: str, source: str) -> dict[str, tuple[str, int]]:
@@ -154,14 +156,13 @@ def command_validate(args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
-def command_oracle_check(args: argparse.Namespace, attainment_threshold: float = 0.95,
-                         tolerance: float = 1e-9) -> int:
+def command_oracle_check(args: argparse.Namespace) -> int:
     """Run the genetic search against exhaustive enumeration on a small config.
 
     Runs the base configuration with the exhaustive baseline, one trial per
     realization. A trial attains the optimum when the final raw score matches
-    it to the relative tolerance. Exits 0 only when the attainment fraction
-    reaches the threshold.
+    it to ORACLE_TOLERANCE (relative). Exits 0 only when the attainment
+    fraction reaches ORACLE_ATTAINMENT.
     """
     ec = _load_experiment(args)
     _check_out(args.out)
@@ -173,19 +174,19 @@ def command_oracle_check(args: argparse.Namespace, attainment_threshold: float =
     size = search_space_size(pt.cfg)
     found, opt = pt.final_raws, pt.baseline_scores["exhaustive"]
     gaps = np.maximum(0.0, opt - found) / np.maximum(np.abs(opt), 1e-300)
-    attained = int(np.count_nonzero(np.abs(found - opt) <= tolerance * np.maximum(1.0, np.abs(opt))))
+    attained = int(np.count_nonzero(np.abs(found - opt) <= ORACLE_TOLERANCE * np.maximum(1.0, np.abs(opt))))
     fraction = attained / pt.realizations
     mean_gap = float(np.mean(gaps))
     print(f"search space: {size} ordered selections")
     print(f"trials: {pt.realizations}")
     print(f"attainment: {attained}/{pt.realizations} = {fraction:.4f} "
-          f"(threshold {attainment_threshold})")
+          f"(threshold {ORACLE_ATTAINMENT})")
     print(f"mean relative gap: {mean_gap:.3e}")
     report = _write_csv(Path(args.out) / "oracle_check.csv", {
         "trials": [str(pt.realizations)], "attained": [str(attained)], "attainment_fraction": [repr(fraction)],
         "mean_relative_gap": [repr(mean_gap)], "search_space": [str(size)]})
     print(f"wrote {report}")
-    return 0 if fraction >= attainment_threshold else 1
+    return 0 if fraction >= ORACLE_ATTAINMENT else 1
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -60,35 +60,13 @@ class ComplexMatrix:
 
 
 @dataclass(frozen=True)
-class PaParams:
-    """Power amplifier model parameters.
-
-    The defaults describe an ideal (lossless, unsaturable) amplifier, for
-    which the output power equals the consumed power.
-    """
-
-    epsilon: float = 1.0       # maximum efficiency, in (0, 1]
-    mu: float = 0.0            # efficiency roll-off exponent, in [0, 1)
-    rho_max_dB: float = math.inf  # saturation output power in dB (inf = no limit)
-
-    @property
-    def rho_max_linear(self) -> float:
-        return db_to_linear(self.rho_max_dB) if math.isfinite(self.rho_max_dB) else math.inf
-
-    @property
-    def is_ideal(self) -> bool:
-        return self.epsilon == 1.0 and self.mu == 0.0 and not math.isfinite(self.rho_max_dB)
-
-
-IDEAL_PA = PaParams()
-
-
-@dataclass(frozen=True)
 class SystemConfig:
     """Full description of one simulated scenario.
 
     Only the array geometry (M, N, N_vec) has no default; everything else
-    falls back to the values used throughout the experiment recipes.
+    falls back to the values used throughout the experiment recipes. Each
+    field is one scenario key of the config file, under the field's name and
+    parsed as the field's type.
     """
 
     M: int                     # transmit antennas at the base station
@@ -103,7 +81,11 @@ class SystemConfig:
     S: int = 5                 # mutated offspring per generation
     mutation_fraction: float = 0.10  # fraction of beam slots replaced per mutation
     theta_dB: float = -100.0   # per-user SINR threshold for outage accounting
-    pa: PaParams = IDEAL_PA    # amplifier model applied to the power budget
+    # Amplifier model applied to the power budget; the defaults describe an
+    # ideal (lossless, unsaturable) amplifier, whose output is its input.
+    pa_epsilon: float = 1.0    # maximum efficiency, in (0, 1]
+    pa_mu: float = 0.0         # efficiency roll-off exponent, in [0, 1)
+    pa_rho_max_dB: float = math.inf  # saturation output power in dB (inf = no limit)
     realizations: int = 500    # Monte Carlo channel draws per experiment point
     seed: int = 12345          # root seed for all random streams
 
@@ -151,12 +133,12 @@ def validate_config(cfg: SystemConfig) -> list[str]:
         errs.append(f"S + 1 < L violated (S={cfg.S}, L={cfg.L}); need room for a fresh member")
     if not 0.0 < cfg.mutation_fraction <= 1.0:
         errs.append(f"0 < mutation_fraction <= 1 violated (mutation_fraction={cfg.mutation_fraction})")
-    if not 0.0 < cfg.pa.epsilon <= 1.0:
-        errs.append(f"0 < pa.epsilon <= 1 violated (epsilon={cfg.pa.epsilon})")
-    if not 0.0 <= cfg.pa.mu < 1.0:
-        errs.append(f"0 <= pa.mu < 1 violated (mu={cfg.pa.mu})")
-    if not cfg.pa.rho_max_dB > -math.inf or math.isnan(cfg.pa.rho_max_dB):
-        errs.append(f"pa.rho_max_dB must not be NaN or -inf (rho_max_dB={cfg.pa.rho_max_dB})")
+    if not 0.0 < cfg.pa_epsilon <= 1.0:
+        errs.append(f"0 < pa.epsilon <= 1 violated (epsilon={cfg.pa_epsilon})")
+    if not 0.0 <= cfg.pa_mu < 1.0:
+        errs.append(f"0 <= pa.mu < 1 violated (mu={cfg.pa_mu})")
+    if not cfg.pa_rho_max_dB > -math.inf or math.isnan(cfg.pa_rho_max_dB):
+        errs.append(f"pa.rho_max_dB must not be NaN or -inf (rho_max_dB={cfg.pa_rho_max_dB})")
     if cfg.realizations < 1:
         errs.append(f"realizations >= 1 violated (realizations={cfg.realizations})")
     if not 0 <= cfg.seed < 2**64:
@@ -170,7 +152,7 @@ def validate_config(cfg: SystemConfig) -> list[str]:
         from .metrics import min_rate_for_threshold, pa_output_power
 
         try:
-            pa_output_power(cfg.P_linear, cfg.pa)
+            pa_output_power(cfg.P_linear, cfg.pa_epsilon, cfg.pa_mu, cfg.pa_rho_max_dB)
             min_rate_for_threshold(cfg.theta_dB)
         except (ValueError, OverflowError) as exc:
             errs.append(f"{type(exc).__name__}: {exc}")

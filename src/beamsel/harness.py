@@ -11,10 +11,10 @@ import json
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from itertools import repeat
 from pathlib import Path
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence, get_type_hints
 
 import numpy as np
 
@@ -39,7 +39,7 @@ class ConfigKey(NamedTuple):
     """How one config key is parsed and which dataclass field it sets."""
 
     parse: Callable[[str], object]
-    owner: str   # "system" (SystemConfig), "pa" (SystemConfig.pa) or "experiment"
+    owner: str   # "system" (SystemConfig) or "experiment" (ExperimentConfig)
     field: str
 
 
@@ -49,15 +49,11 @@ def _list_of(parse: Callable[[str], object]) -> Callable[[str], tuple]:
 
 
 # The one table of config keys. The config file, --set overrides, sweeps and
-# the provenance sidecar all read it.
+# the provenance sidecar all read it. Each SystemConfig field is a scenario
+# key, parsed as its annotated type (int or float).
+_SCENARIO_TYPES = get_type_hints(SystemConfig)
 CONFIG_KEYS: dict[str, ConfigKey] = {
-    **{k: ConfigKey(int, "system", k) for k in ("M", "N", "N_vec", "N_it", "L", "S",
-                                                "realizations", "seed")},
-    **{k: ConfigKey(float, "system", k) for k in ("k", "beta", "P_dB", "alpha",
-                                                  "mutation_fraction", "theta_dB")},
-    "pa_epsilon": ConfigKey(float, "pa", "epsilon"),
-    "pa_mu": ConfigKey(float, "pa", "mu"),
-    "pa_rho_max_dB": ConfigKey(float, "pa", "rho_max_dB"),
+    **{f.name: ConfigKey(_SCENARIO_TYPES[f.name], "system", f.name) for f in fields(SystemConfig)},
     "objective": ConfigKey(ObjectiveKind.from_string, "experiment", "objective_kind"),
     "sweep": ConfigKey(str, "experiment", "sweep_key"),
     "sweep_values": ConfigKey(_list_of(float), "experiment", "sweep_values"),
@@ -96,9 +92,7 @@ def apply_override(cfg: SystemConfig, key: str, value) -> SystemConfig:
         value = int(value)
     elif entry.parse is float:
         value = float(value)
-    if entry.owner == "pa":
-        return replace(cfg, pa=replace(cfg.pa, **{entry.field: value}))
-    return replace(cfg, **{entry.field: value})
+    return replace(cfg, **{key: value})
 
 
 def apply_settings(ec: ExperimentConfig, settings) -> ExperimentConfig:
@@ -493,8 +487,7 @@ def write_result_files(result: ExperimentResult, out_dir) -> list[Path]:
         "sweep_values": list(ec.sweep_values),
         "baselines": list(ec.baselines),
         "convergence_tol": ec.convergence_tol,
-        "base_config": {key: getattr(ec.base.pa if e.owner == "pa" else ec.base, e.field)
-                        for key, e in CONFIG_KEYS.items() if e.owner != "experiment"},
+        "base_config": asdict(ec.base),
         "seed": ec.base.seed,
         "stream_layout": STREAM_LAYOUT,
         "workers": result.workers,

@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 
-from .core import PaParams, db_to_linear
+from .core import db_to_linear
 
 _LN2 = math.log(2.0)
 
@@ -38,34 +38,36 @@ def min_rate_for_threshold(theta_dB: float) -> float:
     return float(math.log1p(db_to_linear(theta_dB)) / _LN2)
 
 
-def pa_output_power(rho_cons: float, pa: PaParams) -> float:
+def pa_output_power(rho_cons: float, epsilon: float, mu: float, rho_max_dB: float) -> float:
     """Radiated power the amplifier produces when drawing rho_cons (linear scale).
 
-    Inverts the consumption law rho_cons = rho_max^mu * rho_out^(1-mu) / epsilon.
-    An ideal amplifier returns rho_cons unchanged. Raises SaturationError when
-    the implied output would exceed rho_max; the onset sits at
-    rho_cons = rho_max / epsilon, and that boundary itself is allowed.
+    Inverts the consumption law rho_cons = rho_max^mu * rho_out^(1-mu) / epsilon,
+    with efficiency epsilon, roll-off exponent mu and saturation power
+    rho_max_dB (inf = no limit). The ideal amplifier (epsilon = 1, mu = 0, no
+    limit) returns rho_cons unchanged. Raises SaturationError when the implied
+    output would exceed rho_max; the onset sits at rho_cons = rho_max / epsilon,
+    and that boundary itself is allowed.
     """
     if not rho_cons >= 0:
         raise ValueError(f"consumed power must be non-negative, got {rho_cons}")
-    if pa.is_ideal:
+    if epsilon == 1.0 and mu == 0.0 and not math.isfinite(rho_max_dB):
         return float(rho_cons)
-    if pa.mu == 1.0:
+    if mu == 1.0:
         raise ValueError("mu = 1 leaves the output power undetermined; use mu in [0, 1)")
-    rho_max = pa.rho_max_linear
-    if pa.mu > 0 and not math.isfinite(rho_max):
+    rho_max = db_to_linear(rho_max_dB) if math.isfinite(rho_max_dB) else math.inf
+    if mu > 0 and not math.isfinite(rho_max):
         raise ValueError("mu > 0 requires a finite saturation power rho_max_dB")
-    if pa.mu == 0:
-        rho_out = pa.epsilon * rho_cons
+    if mu == 0:
+        rho_out = epsilon * rho_cons
     else:
-        rho_out = (pa.epsilon * rho_cons / rho_max**pa.mu) ** (1.0 / (1.0 - pa.mu))
+        rho_out = (epsilon * rho_cons / rho_max**mu) ** (1.0 / (1.0 - mu))
     if rho_out > rho_max:
         # Tolerate representation error right at the saturation boundary.
         if rho_out <= rho_max * (1.0 + 1e-9):
             return float(rho_max)
         raise SaturationError(
             f"consumed power {rho_cons:g} implies output {rho_out:g} beyond saturation "
-            f"{rho_max:g} (onset at rho_cons = {rho_max / pa.epsilon:g})"
+            f"{rho_max:g} (onset at rho_cons = {rho_max / epsilon:g})"
         )
     return float(rho_out)
 

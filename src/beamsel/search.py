@@ -56,7 +56,7 @@ class EvalBatch:
     per member, shaped like the leading axes; a compare against a member's
     own threshold gives the bits of a compare against the same float.
     Scoring computes only what ranking reads: raw, which for the count
-    objective is the served counts and for throughput is also total_sum and
+    objective is the served counts and for throughput is also
     weighted_base. The other fields are derived from user_rates on first
     read. Every per-member sum runs over that member's own C-contiguous row,
     so a member's scores do not depend on the batch around it or on its
@@ -70,16 +70,11 @@ class EvalBatch:
         # (...,) undiscounted objective scalar. Throughput's is set here, not
         # read through the cached properties, whose first read takes a lock.
         if kind is ObjectiveKind.THROUGHPUT:
-            self.raw = self.total_sum = self.weighted_base = user_rates.sum(axis=-1)
+            self.raw = self.weighted_base = user_rates.sum(axis=-1)
         elif kind is ObjectiveKind.OUTAGE_THROUGHPUT:
             self.raw = self.weighted_base
         else:
             self.raw = self.served.astype(np.float64)
-
-    @functools.cached_property
-    def total_sum(self) -> np.ndarray:
-        """(...,) plain sum rate, the count objective's tie-break."""
-        return self.user_rates.sum(axis=-1)
 
     @functools.cached_property
     def served_rates(self) -> np.ndarray:
@@ -145,7 +140,7 @@ class SelectionEvaluator:
         t = h.data @ cb.w.data
         # Row u holds every user's power gain from codebook column u.
         self._column_gains = np.ascontiguousarray((t.real**2 + t.imag**2).T)
-        self._p_over_m = pa_output_power(cfg.P_linear, cfg.pa) / cfg.M
+        self._p_over_m = pa_output_power(cfg.P_linear, cfg.pa_epsilon, cfg.pa_mu, cfg.pa_rho_max_dB) / cfg.M
         self._min_rate = min_rate_for_threshold(cfg.theta_dB)
         self.kind = kind
 
@@ -204,11 +199,6 @@ def _draw_selection(count: int, n: int, n_vec: int, rng: np.random.Generator) ->
     its n smallest keys, in key order, are a uniform ordered selection.
     """
     return rng.random((count, n_vec)).argsort(axis=1)[:, :n]
-
-
-def init_population(cfg: SystemConfig, rng: np.random.Generator) -> np.ndarray:
-    """Uniform random starting population, one selection per row (0-based)."""
-    return _draw_selection(cfg.L, cfg.N, cfg.N_vec, rng)
 
 
 def rank_mutation_keys(keys: np.ndarray, cfg: SystemConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -335,7 +325,7 @@ def ga_run(evaluators: Sequence[SelectionEvaluator], rngs: Sequence[np.random.Ge
     member_min_rates = np.repeat(min_rates, r * cfg.L)
     lane_index = np.arange(lanes)
     lane_rows = lane_index * cfg.L  # each lane's first row in a generation's batch
-    pop = np.stack([init_population(cfg, rng) for rng in rngs])[realization]  # (lanes, L, N)
+    pop = np.stack([_draw_selection(cfg.L, n, n_vec, rng) for rng in rngs])[realization]  # (lanes, L, N)
     queens = np.empty((lanes, cfg.N_it, n), dtype=np.int64)
     queen_rates = np.empty((lanes, cfg.N_it, n), dtype=np.float64)
     # Each later generation takes a fixed run of keys: N_vec per mutant (none

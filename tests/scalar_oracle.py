@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from beamsel.codebook import Codebook
-from beamsel.core import ComplexMatrix, DimensionError, PaParams
+from beamsel.core import ComplexMatrix, DimensionError, db_to_linear
 from beamsel.metrics import (
     ObjectiveKind,
     SaturationError,
@@ -141,26 +141,26 @@ def lexicographic_best(served, total_sum) -> int:
     return max(range(len(served)), key=lambda i: (served[i], total_sum[i], -i))
 
 
-def pa_consumed_power(rho_out: float, pa: PaParams) -> float:
+def pa_consumed_power(rho_out: float, epsilon: float, mu: float, rho_max_dB: float) -> float:
     """Power the amplifier draws to radiate rho_out (linear scale). Inverse of pa_output_power."""
     if not rho_out >= 0:
         raise ValueError(f"output power must be non-negative, got {rho_out}")
-    if pa.is_ideal:
+    if epsilon == 1.0 and mu == 0.0 and not math.isfinite(rho_max_dB):
         return float(rho_out)
-    if pa.mu == 1.0:
+    if mu == 1.0:
         raise ValueError("mu = 1 leaves the consumption law degenerate; use mu in [0, 1)")
-    rho_max = pa.rho_max_linear
-    if pa.mu > 0 and not math.isfinite(rho_max):
+    rho_max = db_to_linear(rho_max_dB) if math.isfinite(rho_max_dB) else math.inf
+    if mu > 0 and not math.isfinite(rho_max):
         raise ValueError("mu > 0 requires a finite saturation power rho_max_dB")
     if rho_out > rho_max * (1.0 + 1e-9):
         raise SaturationError(f"output power {rho_out:g} exceeds saturation {rho_max:g}")
-    if pa.mu == 0:
-        return float(rho_out / pa.epsilon)
-    return float(rho_max**pa.mu * rho_out ** (1.0 - pa.mu) / pa.epsilon)
+    if mu == 0:
+        return float(rho_out / epsilon)
+    return float(rho_max**mu * rho_out ** (1.0 - mu) / epsilon)
 
 
-def pa_effective_efficiency(rho_out: float, pa: PaParams) -> float:
+def pa_effective_efficiency(rho_out: float, epsilon: float, mu: float, rho_max_dB: float) -> float:
     """Ratio of radiated to consumed power at the given operating point."""
     if rho_out <= 0:
         raise ValueError(f"efficiency needs a positive output power, got {rho_out}")
-    return float(rho_out / pa_consumed_power(rho_out, pa))
+    return float(rho_out / pa_consumed_power(rho_out, epsilon, mu, rho_max_dB))

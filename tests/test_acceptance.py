@@ -25,7 +25,7 @@ from beamsel.channel import (
     stream_rng,
 )
 from beamsel.cli import main as cli_main
-from beamsel.core import PaParams, SystemConfig
+from beamsel.core import SystemConfig, db_to_linear
 from beamsel.harness import ExperimentConfig, convergence_iteration, delay_weighted, run_experiment
 from beamsel.metrics import ObjectiveKind, pa_output_power
 from beamsel.search import EvalBatch, SelectionEvaluator, exhaustive_search, ga_run, mutate, rank_mutation_keys
@@ -138,14 +138,14 @@ def test_c05_codebook_size_scaling():
 
 
 def test_c06_amplifier_effect():
-    pa = PaParams(epsilon=0.5, mu=0.5, rho_max_dB=35.0)
+    pa = dict(pa_epsilon=0.5, pa_mu=0.5, pa_rho_max_dB=35.0)
     grid = (10.0, 20.0, 30.0, 36.0)
     means = {}
     for label, pa_params in [("ideal", None), ("pa", pa)]:
         kw = dict(M=16, N=4, N_vec=64, k=3.0, N_it=200, alpha=0.0,
                   realizations=200, seed=SEED)
         if pa_params is not None:
-            kw["pa"] = pa_params
+            kw.update(pa_params)
         ec = ExperimentConfig(base=SystemConfig(**kw), sweep_key="P_dB", sweep_values=grid)
         means[label] = np.array([pt.mean_final_throughput for pt in run_experiment(ec).points])
     gap = means["ideal"] - means["pa"]
@@ -250,11 +250,11 @@ def test_c10_invariant_suite():
     # amplifier round trip
     worst = 0.0
     for _ in range(1000):
-        pa = PaParams(epsilon=float(rng.uniform(0.05, 1.0)),
-                      mu=float(rng.uniform(0.0, 0.9)),
-                      rho_max_dB=float(rng.uniform(20.0, 40.0)))
-        rho_out = float(rng.uniform(0.001, 0.999)) * pa.rho_max_linear
-        back = pa_output_power(pa_consumed_power(rho_out, pa), pa)
+        pa = (float(rng.uniform(0.05, 1.0)),   # epsilon
+              float(rng.uniform(0.0, 0.9)),    # mu
+              float(rng.uniform(20.0, 40.0)))  # rho_max_dB
+        rho_out = float(rng.uniform(0.001, 0.999)) * db_to_linear(pa[2])
+        back = pa_output_power(pa_consumed_power(rho_out, *pa), *pa)
         worst = max(worst, abs(back - rho_out) / rho_out)
     checks.append((worst < 1e-10, f"amplifier round-trip worst relative error {worst:.1e}"))
 

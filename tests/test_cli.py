@@ -65,7 +65,7 @@ def test_parse_config_full_file(tmp_path):
     assert ec.base.N_vec == 128
     assert ec.base.k == 1.0
     assert ec.base.seed == 4242
-    assert ec.base.pa.epsilon == 1.0
+    assert ec.base.pa_epsilon == 1.0
     assert ec.objective_kind is ObjectiveKind.THROUGHPUT
     assert ec.sweep_key == "k"
     assert ec.sweep_values == (0.0, 1.0, 3.0)

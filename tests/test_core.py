@@ -6,8 +6,6 @@ import pytest
 from beamsel.core import (
     ComplexMatrix,
     DimensionError,
-    IDEAL_PA,
-    PaParams,
     SystemConfig,
     db_to_linear,
     validate_config,
@@ -113,7 +111,7 @@ def test_validate_config_accepts_recipe_parameter_sets():
     scenarios = [
         dict(M=32, N=8, N_vec=128, k=0.0, P_dB=10.0, alpha=0.001, N_it=500),
         dict(M=64, N=8, N_vec=128, k=3.0, P_dB=30.0, alpha=0.001, N_it=200,
-             pa=PaParams(epsilon=0.5, mu=0.5, rho_max_dB=35.0)),
+             pa_epsilon=0.5, pa_mu=0.5, pa_rho_max_dB=35.0),
         dict(M=32, N=8, N_vec=32, k=1.0, P_dB=10.0),
         dict(M=32, N=8, N_vec=128, k=10.0),
         dict(M=32, N=8, N_vec=128, theta_dB=0.0),
@@ -156,24 +154,24 @@ def test_validate_config_collects_multiple_violations():
 
 
 def test_validate_config_pa_bounds():
-    bad_eps = SystemConfig(M=4, N=2, N_vec=8, pa=PaParams(epsilon=0.0))
+    bad_eps = SystemConfig(M=4, N=2, N_vec=8, pa_epsilon=0.0)
     assert any("pa.epsilon" in e for e in validate_config(bad_eps))
-    bad_mu = SystemConfig(M=4, N=2, N_vec=8, pa=PaParams(mu=1.5, rho_max_dB=35.0))
+    bad_mu = SystemConfig(M=4, N=2, N_vec=8, pa_mu=1.5, pa_rho_max_dB=35.0)
     assert any("pa.mu" in e for e in validate_config(bad_mu))
     # The amplifier cannot deliver these budgets, so a run of them would fail.
-    mu_one = SystemConfig(M=4, N=2, N_vec=8, pa=PaParams(mu=1.0, rho_max_dB=30.0))
+    mu_one = SystemConfig(M=4, N=2, N_vec=8, pa_mu=1.0, pa_rho_max_dB=30.0)
     assert any("pa.mu < 1" in e for e in validate_config(mu_one))
-    unbounded = SystemConfig(M=4, N=2, N_vec=8, pa=PaParams(mu=0.5))
+    unbounded = SystemConfig(M=4, N=2, N_vec=8, pa_mu=0.5)
     assert any("finite saturation power" in e for e in validate_config(unbounded))
     saturating = SystemConfig(M=4, N=2, N_vec=8, P_dB=60.0,
-                              pa=PaParams(epsilon=0.5, mu=0.5, rho_max_dB=10.0))
+                              pa_epsilon=0.5, pa_mu=0.5, pa_rho_max_dB=10.0)
     assert any(e.startswith("SaturationError:") for e in validate_config(saturating))
     overflowing = SystemConfig(M=4, N=2, N_vec=8, P_dB=4000.0)
     assert any(e.startswith("OverflowError:") for e in validate_config(overflowing))
     # The outage threshold goes through the same dB conversion on every run.
     overflowing = SystemConfig(M=4, N=2, N_vec=8, theta_dB=4000.0)
     assert any(e.startswith("OverflowError:") for e in validate_config(overflowing))
-    ideal = SystemConfig(M=4, N=2, N_vec=8, pa=IDEAL_PA)
+    ideal = SystemConfig(M=4, N=2, N_vec=8, pa_epsilon=1.0, pa_mu=0.0, pa_rho_max_dB=math.inf)
     assert validate_config(ideal) == []
 
 
@@ -188,15 +186,15 @@ def test_validate_config_k_and_seed():
 
 
 def test_with_overrides_routes_pa_fields():
-    # Overrides of the amplifier keys land in cfg.pa; the rest stay top-level.
+    # Overrides of the amplifier keys land in their own fields and nowhere else.
     cfg = SystemConfig(M=4, N=2, N_vec=8)
     out = cfg
     for key, value in (("P_dB", 20.0), ("pa_epsilon", 0.5), ("pa_mu", 0.5),
                        ("pa_rho_max_dB", 35.0)):
         out = apply_override(out, key, value)
     assert out.P_dB == 20.0
-    assert out.pa == PaParams(epsilon=0.5, mu=0.5, rho_max_dB=35.0)
-    assert cfg.pa == IDEAL_PA  # original untouched
+    assert out == SystemConfig(M=4, N=2, N_vec=8, P_dB=20.0, pa_epsilon=0.5, pa_mu=0.5, pa_rho_max_dB=35.0)
+    assert cfg == SystemConfig(M=4, N=2, N_vec=8)  # original untouched
 
 
 def test_p_linear():

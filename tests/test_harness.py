@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,13 +11,16 @@ from hypothesis import strategies as st
 
 from beamsel import harness
 from beamsel.channel import STREAM_SEARCH, realize_channel, stream_rng
-from beamsel.core import ConfigError, PaParams, SystemConfig, validate_config
+from beamsel.core import ConfigError, SystemConfig, validate_config
+from beamsel.cli import apply_cli_overrides, parse_config
 from beamsel.harness import (
+    CONFIG_KEYS,
     ExperimentConfig,
     SweepPointResult,
     _aggregate,
     _run_realization,
     apply_override,
+    apply_settings,
     coerce_value,
     convergence_iteration,
     rate_cdf,
@@ -26,6 +30,9 @@ from beamsel.harness import (
 from beamsel.metrics import ObjectiveKind, SaturationError
 from beamsel.search import STREAM_LAYOUT, SearchSpaceError, SelectionEvaluator, ga_run
 from scalar_oracle import served_stats
+
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def _curves(*rows):
@@ -99,8 +106,8 @@ def test_apply_override_routing():
     assert apply_override(cfg, "M", "16").M == 16
     assert apply_override(cfg, "k", 3).k == 3.0
     out = apply_override(cfg, "pa_epsilon", "0.5")
-    assert out.pa.epsilon == 0.5
-    assert replace(out, pa=cfg.pa) == cfg  # only the amplifier changed
+    assert out.pa_epsilon == 0.5
+    assert replace(out, pa_epsilon=cfg.pa_epsilon) == cfg  # only the amplifier changed
     with pytest.raises(ConfigError):
         apply_override(cfg, "N_it", 12.5)
     with pytest.raises(ConfigError):
@@ -247,8 +254,7 @@ def test_run_experiment_worker_count_does_not_change_numbers():
 
 
 def test_run_experiment_isolates_saturating_point():
-    pa = PaParams(epsilon=0.5, mu=0.5, rho_max_dB=35.0)
-    ec = ExperimentConfig(base=_base(pa=pa, N_it=15, realizations=2),
+    ec = ExperimentConfig(base=_base(pa_epsilon=0.5, pa_mu=0.5, pa_rho_max_dB=35.0, N_it=15, realizations=2),
                           sweep_key="P_dB", sweep_values=(10.0, 60.0))
     result = run_experiment(ec)
     assert len(result.points) == 1
@@ -288,10 +294,11 @@ def test_run_experiment_propagates_realization_errors(monkeypatch, error):
 
 
 # Amplifiers: ideal, feasible at low power, saturating at high power, and
-# three that no power budget can use (mu = 1, mu > 0 unbounded, epsilon = 0).
-AMPLIFIERS = [PaParams(), PaParams(0.5, 0.0, 30.0), PaParams(0.5, 0.5, 30.0),
-              PaParams(0.5, 0.5, 10.0), PaParams(0.5, 1.0, 30.0), PaParams(0.5, 0.5, math.inf),
-              PaParams(0.0, 0.0, math.inf)]
+# three that no power budget can use (mu = 1, mu > 0 unbounded, epsilon = 0),
+# each as (pa_epsilon, pa_mu, pa_rho_max_dB).
+AMPLIFIERS = [(1.0, 0.0, math.inf), (0.5, 0.0, 30.0), (0.5, 0.5, 30.0),
+              (0.5, 0.5, 10.0), (0.5, 1.0, 30.0), (0.5, 0.5, math.inf),
+              (0.0, 0.0, math.inf)]
 
 
 @st.composite
@@ -308,7 +315,7 @@ def tiny_experiments(draw):
         N_it=draw(st.integers(1, 5)), L=L, S=draw(st.integers(0, L - 2)),
         mutation_fraction=draw(st.floats(0.01, 1.0)),
         theta_dB=draw(st.floats(-20.0, 20.0)),
-        pa=draw(st.sampled_from(AMPLIFIERS)),
+        **dict(zip(("pa_epsilon", "pa_mu", "pa_rho_max_dB"), draw(st.sampled_from(AMPLIFIERS)))),
         realizations=1, seed=draw(st.integers(0, 2**16)),
     )
     broken = draw(st.sampled_from([{}] * 8 + [
@@ -589,6 +596,52 @@ def test_result_files_byte_identical_across_runs(tmp_path):
     write_result_files(run_experiment(ec), dir_b)
     for name in ["curve.csv", "curve_example.csv", "summary.csv", "cdf.csv", "convergence.csv"]:
         assert (dir_a / name).read_bytes() == (dir_b / name).read_bytes()
+
+
+def _experiment_from_provenance(prov: dict) -> ExperimentConfig:
+    """Rebuild an experiment from its provenance.json alone, through the config keys' parsers."""
+
+    def raw(value) -> str:
+        if isinstance(value, list):
+            return ",".join(map(raw, value))
+        return value if isinstance(value, str) else repr(value)
+
+    settings = {**prov["base_config"], "objective": prov["objective"], "baselines": prov["baselines"],
+                "convergence_tol": prov["convergence_tol"]}
+    if prov["sweep_key"] is not None:
+        settings.update(sweep=prov["sweep_key"], sweep_values=prov["sweep_values"])
+    placeholder = ExperimentConfig(base=SystemConfig(M=1, N=1, N_vec=1))
+    return apply_settings(placeholder, [(key, raw(v), "provenance.json") for key, v in settings.items()])
+
+
+REPLAYED = {
+    "amplifier_recipe": lambda: apply_cli_overrides(parse_config(CONFIG_DIR / "amplifier_power_sweep.cfg"),
+                                                    ("realizations=2", "N_it=10", "baselines=random")),
+    "N_vec_sweep": lambda: ExperimentConfig(base=_base(M=4, N=2, N_it=10, realizations=2), sweep_key="N_vec",
+                                            sweep_values=(4, 8), baselines=("random", "exhaustive")),
+    "k_inf": lambda: ExperimentConfig(base=_base(k=math.inf, N_it=10, realizations=2), baselines=("random",)),
+    "theta_dB_sweep": lambda: ExperimentConfig(
+        base=_base(M=4, N=2, N_vec=8, N_it=10, realizations=2), objective_kind=ObjectiveKind.OUTAGE_COUNT,
+        sweep_key="theta_dB", sweep_values=(-math.inf, 0.0, 5.0), baselines=("random", "exhaustive"),
+        convergence_tol=0.05),
+}
+
+
+@pytest.mark.parametrize("name", REPLAYED)
+def test_provenance_alone_replays_the_run(name, tmp_path):
+    # Every scenario key is a SystemConfig field, and provenance.json records
+    # them all, so a results directory says enough to write itself again.
+    ec = REPLAYED[name]()
+    written = write_result_files(run_experiment(ec), tmp_path / "first")
+    prov = json.loads((tmp_path / "first" / "provenance.json").read_text())
+    assert set(prov["base_config"]) == {key for key, e in CONFIG_KEYS.items() if e.owner == "system"}
+    replayed = _experiment_from_provenance(prov)
+    assert replayed == ec
+    again = write_result_files(run_experiment(replayed), tmp_path / "again")
+    assert [p.name for p in again] == [p.name for p in written]
+    for first, second in zip(written, again):
+        if first.suffix == ".csv":
+            assert second.read_bytes() == first.read_bytes(), first.name
 
 
 def test_run_experiment_rejects_bad_worker_count():

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from beamsel.codebook import build_dft_codebook
-from beamsel.core import ComplexMatrix, IDEAL_PA, PaParams, db_to_linear
+from beamsel.core import ComplexMatrix, db_to_linear
 from beamsel.metrics import (
     ObjectiveKind,
     SaturationError,
@@ -190,15 +190,19 @@ def test_served_stats_everyone_served_without_threshold():
     assert not flags.any()
 
 
+# (epsilon, mu, rho_max_dB) of the ideal amplifier and of the recipes' saturating one.
+IDEAL_PA = (1.0, 0.0, math.inf)
+PA = (0.5, 0.5, 35.0)
+
+
 def test_ideal_pa_is_identity():
     for p in [0.0, 1.0, 10.0, 1e6]:
-        assert pa_output_power(p, IDEAL_PA) == p
-        assert pa_consumed_power(p, IDEAL_PA) == p
+        assert pa_output_power(p, *IDEAL_PA) == p
+        assert pa_consumed_power(p, *IDEAL_PA) == p
 
 
 def test_pa_worked_example():
-    pa = PaParams(epsilon=0.5, mu=0.5, rho_max_dB=35.0)
-    rho_out = pa_output_power(1000.0, pa)
+    rho_out = pa_output_power(1000.0, *PA)
     # (0.5 * 1000 / sqrt(3162.27...))^2
     want = (0.5 * 1000.0 / math.sqrt(db_to_linear(35.0))) ** 2
     assert rho_out == pytest.approx(want, rel=1e-12)
@@ -206,57 +210,51 @@ def test_pa_worked_example():
 
 
 def test_pa_round_trip():
-    pa = PaParams(epsilon=0.5, mu=0.5, rho_max_dB=35.0)
     for rho_out in [0.5, 10.0, 100.0, 1000.0]:
-        cons = pa_consumed_power(rho_out, pa)
-        assert pa_output_power(cons, pa) == pytest.approx(rho_out, rel=1e-10)
+        cons = pa_consumed_power(rho_out, *PA)
+        assert pa_output_power(cons, *PA) == pytest.approx(rho_out, rel=1e-10)
 
 
 def test_pa_saturation_onset():
-    pa = PaParams(epsilon=0.5, mu=0.5, rho_max_dB=35.0)
     rho_max = db_to_linear(35.0)
-    onset = rho_max / pa.epsilon
-    assert pa_output_power(onset, pa) == pytest.approx(rho_max, rel=1e-9)
+    onset = rho_max / 0.5
+    assert pa_output_power(onset, *PA) == pytest.approx(rho_max, rel=1e-9)
     with pytest.raises(SaturationError):
-        pa_output_power(onset * 1.01, pa)
+        pa_output_power(onset * 1.01, *PA)
     with pytest.raises(SaturationError):
-        pa_consumed_power(rho_max * 1.01, pa)
+        pa_consumed_power(rho_max * 1.01, *PA)
 
 
 def test_pa_mu_one_rejected():
-    pa = PaParams(epsilon=0.5, mu=1.0, rho_max_dB=35.0)
     with pytest.raises(ValueError):
-        pa_output_power(10.0, pa)
+        pa_output_power(10.0, 0.5, 1.0, 35.0)
     with pytest.raises(ValueError):
-        pa_consumed_power(10.0, pa)
+        pa_consumed_power(10.0, 0.5, 1.0, 35.0)
 
 
 def test_pa_positive_mu_needs_finite_saturation():
-    pa = PaParams(epsilon=0.5, mu=0.5, rho_max_dB=math.inf)
     with pytest.raises(ValueError):
-        pa_output_power(10.0, pa)
+        pa_output_power(10.0, 0.5, 0.5, math.inf)
 
 
 def test_pa_mu_zero_is_constant_efficiency():
-    pa = PaParams(epsilon=0.25, mu=0.0, rho_max_dB=35.0)
-    assert pa_output_power(100.0, pa) == pytest.approx(25.0)
-    assert pa_effective_efficiency(10.0, pa) == pytest.approx(0.25)
-    assert pa_effective_efficiency(0.01, pa) == pytest.approx(0.25)
+    pa = (0.25, 0.0, 35.0)
+    assert pa_output_power(100.0, *pa) == pytest.approx(25.0)
+    assert pa_effective_efficiency(10.0, *pa) == pytest.approx(0.25)
+    assert pa_effective_efficiency(0.01, *pa) == pytest.approx(0.25)
 
 
 def test_pa_efficiency_improves_toward_saturation():
-    pa = PaParams(epsilon=0.5, mu=0.5, rho_max_dB=35.0)
     points = [1.0, 10.0, 100.0, 1000.0]
-    effs = [pa_effective_efficiency(p, pa) for p in points]
+    effs = [pa_effective_efficiency(p, *PA) for p in points]
     assert all(b > a for a, b in zip(effs, effs[1:]))
     # peak efficiency epsilon is reached exactly at saturation
-    assert pa_effective_efficiency(db_to_linear(35.0), pa) == pytest.approx(0.5, rel=1e-12)
+    assert pa_effective_efficiency(db_to_linear(35.0), *PA) == pytest.approx(0.5, rel=1e-12)
 
 
 def test_pa_output_monotone_in_consumption():
-    pa = PaParams(epsilon=0.5, mu=0.5, rho_max_dB=35.0)
     cons = np.linspace(0.1, 6000.0, 50)
-    outs = [pa_output_power(c, pa) for c in cons]
+    outs = [pa_output_power(c, *PA) for c in cons]
     assert all(b > a for a, b in zip(outs, outs[1:]))
 
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from beamsel.channel import realize_channel, stream_rng, STREAM_SEARCH
 from beamsel.codebook import build_dft_codebook
-from beamsel.core import ComplexMatrix, DimensionError, PaParams, SystemConfig, db_to_linear
+from beamsel.core import ComplexMatrix, DimensionError, SystemConfig, db_to_linear
 from beamsel.harness import delay_weighted
 from beamsel.metrics import ObjectiveKind, min_rate_for_threshold, pa_output_power, rates
 import beamsel.search as search
@@ -21,7 +21,6 @@ from beamsel.search import (
     SelectionEvaluator,
     exhaustive_search,
     ga_run,
-    init_population,
     mutate,
     n_replaced,
     random_search,
@@ -46,7 +45,7 @@ def reference_scores(cfg, h, sels_0based):
     chain (gain matrix -> SINR -> rates -> objective) one candidate at a time.
     """
     cb = build_dft_codebook(cfg.M, cfg.N_vec)
-    p = pa_output_power(cfg.P_linear, cfg.pa)
+    p = pa_output_power(cfg.P_linear, cfg.pa_epsilon, cfg.pa_mu, cfg.pa_rho_max_dB)
     out_rates = []
     for row in np.asarray(sels_0based):
         g = channel_gain(h, materialize(cb, row))
@@ -70,8 +69,8 @@ def test_mutation_replaces_expected_slot_count(fraction, n, want):
 
 def test_init_population_valid_and_deterministic():
     cfg = _cfg(M=8, N=3, N_vec=12, L=10)
-    pop_a = init_population(cfg, np.random.default_rng(7))
-    pop_b = init_population(cfg, np.random.default_rng(7))
+    pop_a = _draw_selection(cfg.L, cfg.N, cfg.N_vec, np.random.default_rng(7))
+    pop_b = _draw_selection(cfg.L, cfg.N, cfg.N_vec, np.random.default_rng(7))
     np.testing.assert_array_equal(pop_a, pop_b)
     assert pop_a.shape == (10, 3)
     for row in pop_a:
@@ -81,7 +80,7 @@ def test_init_population_valid_and_deterministic():
 
 def test_init_population_full_codebook_draws_permutations():
     cfg = _cfg(M=4, N=4, N_vec=4, L=10)
-    pop = init_population(cfg, np.random.default_rng(0))
+    pop = _draw_selection(cfg.L, cfg.N, cfg.N_vec, np.random.default_rng(0))
     for row in pop:
         assert sorted(row.tolist()) == [0, 1, 2, 3]
 
@@ -303,8 +302,7 @@ def test_evaluator_matches_reference_op_chain():
 
 
 def test_evaluator_applies_amplifier_to_power_budget():
-    pa = PaParams(epsilon=0.5, mu=0.5, rho_max_dB=35.0)
-    cfg = _cfg(M=8, N=2, N_vec=16, P_dB=30.0, pa=pa)
+    cfg = _cfg(M=8, N=2, N_vec=16, P_dB=30.0, pa_epsilon=0.5, pa_mu=0.5, pa_rho_max_dB=35.0)
     h = _channel(cfg)
     ev = SelectionEvaluator(cfg, h)
     sel = np.array([[0, 5]])
@@ -312,7 +310,7 @@ def test_evaluator_applies_amplifier_to_power_budget():
     want = reference_scores(cfg, h, sel)[0]
     np.testing.assert_allclose(got, want, rtol=1e-12)
     # and the radiated power really is below the consumed power
-    assert pa_output_power(cfg.P_linear, pa) < cfg.P_linear
+    assert pa_output_power(cfg.P_linear, 0.5, 0.5, 35.0) < cfg.P_linear
 
 
 def test_evaluator_outage_variants():
@@ -328,7 +326,7 @@ def test_evaluator_outage_variants():
     count = SelectionEvaluator(cfg, h, ObjectiveKind.OUTAGE_COUNT)
     cbatch = count.evaluate(sels)
     np.testing.assert_array_equal(cbatch.raw, cbatch.served.astype(float))
-    np.testing.assert_allclose(cbatch.total_sum, batch.user_rates.sum(axis=1))
+    np.testing.assert_allclose(cbatch.user_rates.sum(axis=1), batch.user_rates.sum(axis=1))
     # Every objective counts served users by the same rule as the oracle.
     for kind in ObjectiveKind:
         kbatch = SelectionEvaluator(cfg, h, kind).evaluate(sels)
@@ -423,7 +421,7 @@ def test_member_scores_do_not_depend_on_the_batch(n, kind):
     for b in range(33):
         alone = ev.evaluate(sels[b])
         for name, (batch, row) in batches.items():
-            for field in ("raw", "weighted_base", "total_sum", "served", "served_rates", "user_rates"):
+            for field in ("raw", "weighted_base", "served", "served_rates", "user_rates"):
                 want, got = getattr(alone, field), getattr(batch, field)
                 assert got[row[b]].tobytes() == want[0].tobytes(), (name, field, b)
 
@@ -440,7 +438,7 @@ def test_eval_batch_scores_a_block_as_its_flat_reshape(n, kind):
     traj = ga_run(evs, [stream_rng(cfg.seed, r, STREAM_SEARCH) for r in range(3)])
     block = EvalBatch(kind, traj.queen_rates, evs[0]._min_rate)
     flat = EvalBatch(kind, traj.queen_rates.reshape(-1, n), evs[0]._min_rate)
-    for field in ("raw", "weighted_base", "total_sum", "served", "served_rates"):
+    for field in ("raw", "weighted_base", "served", "served_rates"):
         got, want = getattr(block, field), getattr(flat, field)
         assert got.shape == (3, cfg.N_it, *want.shape[1:]), field
         assert got.tobytes() == want.tobytes(), field
@@ -456,7 +454,7 @@ def test_eval_batch_shares_the_rate_sum_arrays(n):
     # outage_throughput the served-rate sum is both.
     user_rates = np.random.default_rng(n).random((3, 5, n))
     batch = EvalBatch(ObjectiveKind.THROUGHPUT, user_rates, 0.5)
-    assert batch.raw is batch.total_sum is batch.weighted_base
+    assert batch.raw is batch.weighted_base
     assert batch.raw.tobytes() == user_rates.sum(axis=-1).tobytes()
     batch = EvalBatch(ObjectiveKind.OUTAGE_THROUGHPUT, user_rates, 0.5)
     assert batch.raw is batch.weighted_base
@@ -721,7 +719,7 @@ def test_ordered_selections_caches_one_shape():
 
 def _best_row(batch) -> int:
     if batch.kind is ObjectiveKind.OUTAGE_COUNT:
-        return lexicographic_best(batch.served, batch.total_sum)
+        return lexicographic_best(batch.served, batch.user_rates.sum(axis=-1))
     return int(np.argmax(batch.raw))
 
 
@@ -771,7 +769,7 @@ def test_exhaustive_count_objective_returns_served_count():
     every = ev.evaluate(np.array(list(itertools.permutations(range(8), 2))))
     assert score == every.served.max()
     tied = every.served == every.served.max()
-    assert every.total_sum[tied].max() == pytest.approx(float(batch.total_sum[0]), rel=1e-14)
+    assert every.user_rates.sum(axis=-1)[tied].max() == pytest.approx(float(batch.user_rates[0].sum()), rel=1e-14)
 
 
 def test_random_search_budget_one_and_determinism():
