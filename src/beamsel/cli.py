@@ -19,11 +19,8 @@ import sys
 from dataclasses import MISSING, fields, replace
 from pathlib import Path
 
-import numpy as np
-
+from .config import ExperimentConfig, apply_settings, search_space_size
 from .core import ConfigError, SystemConfig
-from .harness import ExperimentConfig, _write_csv, apply_settings, run_experiment, write_result_files
-from .search import search_space_size
 
 REQUIRED_KEYS = tuple(f.name for f in fields(SystemConfig) if f.default is MISSING)
 ORACLE_TOLERANCE = 1e-9
@@ -111,9 +108,11 @@ def _check_out(out: str) -> None:
 
 
 def _run_and_write(ec: ExperimentConfig, args: argparse.Namespace, convergence_view: bool) -> int:
+    from . import harness  # the numeric layers load only for a command that runs
+
     _check_out(args.out)
-    result = run_experiment(ec, workers=args.workers)
-    written = write_result_files(result, args.out)
+    result = harness.run_experiment(ec, workers=args.workers)
+    written = harness.write_result_files(result, args.out)
     _print_point_table(result, convergence_view)
     print(f"wrote {len(written)} files to {Path(args.out).resolve()}")
     return 1 if result.errors or not result.points else 0
@@ -164,10 +163,14 @@ def command_oracle_check(args: argparse.Namespace) -> int:
     it to ORACLE_TOLERANCE (relative). Exits 0 only when the attainment
     fraction reaches ORACLE_ATTAINMENT.
     """
+    import numpy as np
+
+    from . import harness
+
     ec = _load_experiment(args)
     _check_out(args.out)
-    result = run_experiment(replace(ec, sweep_key=None, sweep_values=(), baselines=("exhaustive",)),
-                            workers=args.workers)
+    result = harness.run_experiment(replace(ec, sweep_key=None, sweep_values=(), baselines=("exhaustive",)),
+                                    workers=args.workers)
     if result.errors:
         raise ConfigError(result.errors[0].message)
     pt = result.points[0]
@@ -182,7 +185,7 @@ def command_oracle_check(args: argparse.Namespace) -> int:
     print(f"attainment: {attained}/{pt.realizations} = {fraction:.4f} "
           f"(threshold {ORACLE_ATTAINMENT})")
     print(f"mean relative gap: {mean_gap:.3e}")
-    report = _write_csv(Path(args.out) / "oracle_check.csv", {
+    report = harness._write_csv(Path(args.out) / "oracle_check.csv", {
         "trials": [str(pt.realizations)], "attained": [str(attained)], "attainment_fraction": [repr(fraction)],
         "mean_relative_gap": [repr(mean_gap)], "search_space": [str(size)]})
     print(f"wrote {report}")

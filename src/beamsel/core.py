@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class DimensionError(ValueError):
@@ -36,6 +38,8 @@ class ComplexMatrix:
     data: np.ndarray
 
     def __post_init__(self) -> None:
+        import numpy as np  # here, so that importing the config layer loads no numpy
+
         arr = np.array(self.data, dtype=np.complex128, copy=True, order="C")
         if arr.ndim != 2:
             raise ValueError(f"expected a 2-D array, got ndim={arr.ndim}")
@@ -134,11 +138,11 @@ def validate_config(cfg: SystemConfig) -> list[str]:
     if not 0.0 < cfg.mutation_fraction <= 1.0:
         errs.append(f"0 < mutation_fraction <= 1 violated (mutation_fraction={cfg.mutation_fraction})")
     if not 0.0 < cfg.pa_epsilon <= 1.0:
-        errs.append(f"0 < pa.epsilon <= 1 violated (epsilon={cfg.pa_epsilon})")
+        errs.append(f"0 < pa_epsilon <= 1 violated (epsilon={cfg.pa_epsilon})")
     if not 0.0 <= cfg.pa_mu < 1.0:
-        errs.append(f"0 <= pa.mu < 1 violated (mu={cfg.pa_mu})")
+        errs.append(f"0 <= pa_mu < 1 violated (mu={cfg.pa_mu})")
     if not cfg.pa_rho_max_dB > -math.inf or math.isnan(cfg.pa_rho_max_dB):
-        errs.append(f"pa.rho_max_dB must not be NaN or -inf (rho_max_dB={cfg.pa_rho_max_dB})")
+        errs.append(f"pa_rho_max_dB must not be NaN or -inf (rho_max_dB={cfg.pa_rho_max_dB})")
     if cfg.realizations < 1:
         errs.append(f"realizations >= 1 violated (realizations={cfg.realizations})")
     if not 0 <= cfg.seed < 2**64:

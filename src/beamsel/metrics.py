@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import enum
 import math
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 from .core import db_to_linear
 
@@ -30,6 +32,8 @@ def rates(sinr_values: np.ndarray) -> np.ndarray:
 
     Uses log1p so thresholds near zero keep full relative precision.
     """
+    import numpy as np  # here, so that importing the config layer loads no numpy
+
     return np.log1p(np.asarray(sinr_values, dtype=np.float64)) / _LN2
 
 

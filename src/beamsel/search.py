@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codebook import build_dft_codebook
+from .config import EXHAUSTIVE_CAP, search_space_size
 from .core import ComplexMatrix, DimensionError, SystemConfig, require_valid
 from .metrics import ObjectiveKind, min_rate_for_threshold, pa_output_power, rates, sinr_from_components
 
@@ -25,8 +26,6 @@ class SearchSpaceError(ValueError):
     """The exhaustive search space is too large to enumerate."""
 
 
-# Largest ordered search space exhaustive_search enumerates.
-EXHAUSTIVE_CAP = 1_000_000
 CHUNK = 4096  # selections scored per evaluate call by the baselines
 KEY_CHUNK_BYTES = 256 * 1024  # most bytes of keys ga_run draws and ranks at once
 # Version of how the searches consume their random streams. Bump it with any
@@ -359,11 +358,6 @@ def ga_run(evaluators: Sequence[SelectionEvaluator], rngs: Sequence[np.random.Ge
     for arr in (queens, queen_rates):
         arr.flags.writeable = False
     return GaTrajectory(queens=queens, queen_rates=queen_rates)
-
-
-def search_space_size(cfg: SystemConfig) -> int:
-    """Number of ordered selections of N distinct columns from N_vec."""
-    return math.perm(cfg.N_vec, cfg.N)
 
 
 def _best_of_chunks(ev: SelectionEvaluator, min_rates: Sequence[float],

@@ -26,7 +26,8 @@ from beamsel.channel import (
 )
 from beamsel.cli import main as cli_main
 from beamsel.core import SystemConfig, db_to_linear
-from beamsel.harness import ExperimentConfig, convergence_iteration, delay_weighted, run_experiment
+from beamsel.config import ExperimentConfig
+from beamsel.harness import convergence_iteration, delay_weighted, run_experiment
 from beamsel.metrics import ObjectiveKind, pa_output_power
 from beamsel.search import EvalBatch, SelectionEvaluator, exhaustive_search, ga_run, mutate, rank_mutation_keys
 from scalar_oracle import outage_throughput, pa_consumed_power, throughput

@@ -1,9 +1,13 @@
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-import beamsel.cli as cli
+from beamsel import harness
 from beamsel.channel import STREAM_SEARCH, realize_channel, stream_rng
 from beamsel.cli import (
     _load_experiment,
@@ -12,9 +16,14 @@ from beamsel.cli import (
     main,
     parse_config,
 )
+from beamsel.config import search_space_size
 from beamsel.core import ConfigError
 from beamsel.metrics import ObjectiveKind
-from beamsel.search import SelectionEvaluator, exhaustive_search, ga_run, search_space_size
+from beamsel.search import SelectionEvaluator, exhaustive_search, ga_run
+
+ROOT = Path(__file__).resolve().parent.parent
+CONFIG_DIR = ROOT / "configs"
+SRC_DIR = ROOT / "src"
 
 FULL_CONFIG = """\
 # antenna array and users
@@ -156,7 +165,7 @@ def test_validate_command(tmp_path, capsys):
     assert main(["validate", "--config", str(p), "--set", "N=20"]) == 1
     assert "N <= M" in capsys.readouterr().out
     rejected = [
-        (("pa_mu=1", "pa_rho_max_dB=30"), "pa.mu < 1"),
+        (("pa_mu=1", "pa_rho_max_dB=30"), "pa_mu < 1"),
         (("pa_mu=0.5",), "finite saturation power"),
         (("P_dB=60", "pa_epsilon=0.5", "pa_mu=0.5", "pa_rho_max_dB=10"), "SaturationError"),
         (("M=32", "N=8", "N_vec=128", "baselines=exhaustive"), "exhaustive baseline"),
@@ -198,7 +207,7 @@ def test_out_that_cannot_be_a_directory_is_refused_before_running(tmp_path, caps
     def no_run(*args, **kwargs):
         raise AssertionError("a realization ran")
 
-    monkeypatch.setattr(cli, "run_experiment", no_run)
+    monkeypatch.setattr(harness, "run_experiment", no_run)
     p = _write(tmp_path, TINY_CONFIG + "sweep = P_dB\nsweep_values = 0, 10\n")
     taken = tmp_path / "taken"
     taken.write_text("not a directory")
@@ -213,6 +222,32 @@ def test_validate_reports_each_sweep_point(tmp_path, capsys):
     assert main(["validate", "--config", str(p)]) == 1
     out = capsys.readouterr().out
     assert "sweep point N=20" in out
+
+
+# Runs in a fresh interpreter: `validate`, then the parse, --set override and
+# per-point validation that the benchmark's set-up probe times.
+NO_NUMPY_SCRIPT = """\
+import sys
+from beamsel import cli
+from beamsel.core import validate_config
+
+recipe = sys.argv[1]
+assert cli.main(["validate", "--config", recipe]) == 0
+ec = cli.apply_cli_overrides(cli.parse_config(recipe), ("seed=3",))
+assert ec.base.seed == 3
+assert not [v for _, cfg in ec.points() for v in validate_config(cfg)]
+sys.exit("numpy was imported" if "numpy" in sys.modules else 0)
+"""
+
+
+@pytest.mark.parametrize("recipe", sorted(p.name for p in CONFIG_DIR.glob("*.cfg")))
+def test_validating_a_recipe_imports_no_numpy(recipe):
+    path = os.pathsep.join(filter(None, [str(SRC_DIR), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run([sys.executable, "-c", NO_NUMPY_SCRIPT, str(CONFIG_DIR / recipe)],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert "configuration valid" in proc.stdout
 
 
 def test_run_command_writes_results(tmp_path, capsys):

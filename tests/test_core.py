@@ -10,7 +10,7 @@ from beamsel.core import (
     db_to_linear,
     validate_config,
 )
-from beamsel.harness import apply_override
+from beamsel.config import apply_override
 from scalar_oracle import identity, matmul
 
 
@@ -155,12 +155,12 @@ def test_validate_config_collects_multiple_violations():
 
 def test_validate_config_pa_bounds():
     bad_eps = SystemConfig(M=4, N=2, N_vec=8, pa_epsilon=0.0)
-    assert any("pa.epsilon" in e for e in validate_config(bad_eps))
+    assert any("pa_epsilon" in e for e in validate_config(bad_eps))
     bad_mu = SystemConfig(M=4, N=2, N_vec=8, pa_mu=1.5, pa_rho_max_dB=35.0)
-    assert any("pa.mu" in e for e in validate_config(bad_mu))
+    assert any("pa_mu" in e for e in validate_config(bad_mu))
     # The amplifier cannot deliver these budgets, so a run of them would fail.
     mu_one = SystemConfig(M=4, N=2, N_vec=8, pa_mu=1.0, pa_rho_max_dB=30.0)
-    assert any("pa.mu < 1" in e for e in validate_config(mu_one))
+    assert any("pa_mu < 1" in e for e in validate_config(mu_one))
     unbounded = SystemConfig(M=4, N=2, N_vec=8, pa_mu=0.5)
     assert any("finite saturation power" in e for e in validate_config(unbounded))
     saturating = SystemConfig(M=4, N=2, N_vec=8, P_dB=60.0,

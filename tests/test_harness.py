@@ -1,6 +1,8 @@
 import dataclasses
 import json
 import math
+import os
+import platform
 from dataclasses import replace
 from pathlib import Path
 
@@ -13,15 +15,11 @@ from beamsel import harness
 from beamsel.channel import STREAM_SEARCH, realize_channel, stream_rng
 from beamsel.core import ConfigError, SystemConfig, validate_config
 from beamsel.cli import apply_cli_overrides, parse_config
+from beamsel.config import CONFIG_KEYS, ExperimentConfig, apply_override, apply_settings, coerce_value
 from beamsel.harness import (
-    CONFIG_KEYS,
-    ExperimentConfig,
     SweepPointResult,
     _aggregate,
     _run_realization,
-    apply_override,
-    apply_settings,
-    coerce_value,
     convergence_iteration,
     rate_cdf,
     run_experiment,
@@ -586,6 +584,19 @@ def test_provenance_is_strict_json_for_non_finite_values(tmp_path):
     assert prov["sweep_values"] == [0.0, "inf", "nan"]
     assert [pt["sweep_value"] for pt in prov["points"]] == [0.0, "inf"]
     assert [e["sweep_value"] for e in prov["errors"]] == ["nan"]
+
+
+def test_provenance_records_the_environment(tmp_path):
+    write_result_files(run_experiment(ExperimentConfig(base=_base(N_it=5, realizations=1))), tmp_path)
+
+    def refuse(name):
+        raise ValueError(f"provenance.json holds the non-standard constant {name}")
+
+    prov = json.loads((tmp_path / "provenance.json").read_text(), parse_constant=refuse)
+    assert prov["environment"] == {"python": platform.python_version(), "numpy": np.__version__,
+                                   "platform": platform.platform(), "cpu_count": os.cpu_count()}
+    assert prov["workers"] == 1
+    assert harness._environment() is harness._environment()  # looked up once per process
 
 
 def test_result_files_byte_identical_across_runs(tmp_path):

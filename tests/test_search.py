@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from beamsel.channel import realize_channel, stream_rng, STREAM_SEARCH
 from beamsel.codebook import build_dft_codebook
+from beamsel.config import search_space_size
 from beamsel.core import ComplexMatrix, DimensionError, SystemConfig, db_to_linear
 from beamsel.harness import delay_weighted
 from beamsel.metrics import ObjectiveKind, min_rate_for_threshold, pa_output_power, rates
@@ -26,7 +27,6 @@ from beamsel.search import (
     random_search,
     rank_best,
     rank_mutation_keys,
-    search_space_size,
 )
 from scalar_oracle import channel_gain, lexicographic_best, materialize, served_stats, sinr
 
