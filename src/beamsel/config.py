@@ -11,8 +11,7 @@ import math
 from dataclasses import dataclass, fields, replace
 from typing import Callable, NamedTuple, get_type_hints
 
-from .core import ConfigError, SystemConfig, validate_config
-from .metrics import ObjectiveKind
+from .core import ConfigError, ObjectiveKind, SystemConfig, validate_config
 
 # Largest ordered search space exhaustive_search enumerates.
 EXHAUSTIVE_CAP = 1_000_000

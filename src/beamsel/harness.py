@@ -24,12 +24,10 @@ import numpy as np
 from ._version import __version__
 from .channel import STREAM_BASELINE, STREAM_SEARCH, realize_channel, stream_rng
 from .config import ExperimentConfig, search_space_size
-from .core import SystemConfig
-from .metrics import ObjectiveKind, min_rate_for_threshold
+from .core import ObjectiveKind, SystemConfig, min_rate_for_threshold
 from .search import (
     STREAM_LAYOUT,
     EvalBatch,
-    GaTrajectory,
     SelectionEvaluator,
     exhaustive_search,
     ga_run,
@@ -80,8 +78,8 @@ BLOCK_CAP = 64
 
 
 def _run_realization(ec: ExperimentConfig, cfgs: Sequence[SystemConfig],
-                     indices: Sequence[int]) -> list[tuple[GaTrajectory, dict[str, np.ndarray]]]:
-    """Run the realizations `indices` of a group of points: each point's block trajectory and baseline scores.
+                     indices: Sequence[int]) -> list[tuple[np.ndarray, dict[str, np.ndarray]]]:
+    """Run the realizations `indices` of a group of points: each point's queens' rates and baseline scores.
 
     The points' configs differ only in theta_dB and alpha, which no channel,
     gain table, power or random draw reads, so each realization's channel
@@ -91,9 +89,10 @@ def _run_realization(ec: ExperimentConfig, cfgs: Sequence[SystemConfig],
     genetic searches as the lanes of one lockstep block, each ranking under
     its threshold, and each realization's baselines from its baseline
     stream, scoring each row once and ranking it under every threshold.
-    Each point then takes its threshold's trajectory and baseline scores,
-    one (len(indices),) array per baseline, in index order; points that
-    share a threshold share those arrays.
+    Each point then takes its threshold's queens' rates, a
+    (len(indices), N_it, N) array, and baseline scores, one (len(indices),)
+    array per baseline, in index order; points that share a threshold share
+    those arrays. The queens themselves stay here: no statistic reads them.
     """
     cfg = cfgs[0]
     evs = [SelectionEvaluator(cfg, realize_channel(cfg, i), ec.objective_kind) for i in indices]
@@ -101,9 +100,8 @@ def _run_realization(ec: ExperimentConfig, cfgs: Sequence[SystemConfig],
     if ec.objective_kind is ObjectiveKind.THROUGHPUT:
         point_rates = point_rates[:1] * len(cfgs)
     min_rates = list(dict.fromkeys(point_rates))
-    block = ga_run(evs, [stream_rng(cfg.seed, i, STREAM_SEARCH) for i in indices], min_rates)
-    trajs = [GaTrajectory(queens, queen_rates) for queens, queen_rates
-             in zip(np.split(block.queens, len(min_rates)), np.split(block.queen_rates, len(min_rates)))]
+    rngs = [stream_rng(cfg.seed, i, STREAM_SEARCH) for i in indices]
+    queen_rates = np.split(ga_run(evs, rngs, min_rates).queen_rates, len(min_rates))
     scores = [{name: np.empty(len(indices)) for name in ec.baselines} for _ in min_rates]
     for r, (index, ev) in enumerate(zip(indices, evs)):
         brng = stream_rng(cfg.seed, index, STREAM_BASELINE)
@@ -112,7 +110,7 @@ def _run_realization(ec: ExperimentConfig, cfgs: Sequence[SystemConfig],
                      else exhaustive_search(ev, min_rates))
             for threshold_scores, (_, score) in zip(scores, found):
                 threshold_scores[name][r] = score
-    return [(trajs[i], scores[i]) for i in map(min_rates.index, point_rates)]
+    return [(queen_rates[i], scores[i]) for i in map(min_rates.index, point_rates)]
 
 
 @dataclass
@@ -196,14 +194,14 @@ class ExperimentResult:
 
 
 def _aggregate(ec: ExperimentConfig, sweep_value: float | None, cfg: SystemConfig,
-               parts: list[tuple[GaTrajectory, dict[str, np.ndarray]]], wall: float) -> SweepPointResult:
-    """One point's statistics from its blocks' (trajectory, baseline scores), concatenated in the given order.
+               parts: list[tuple[np.ndarray, dict[str, np.ndarray]]], wall: float) -> SweepPointResult:
+    """One point's statistics from its blocks' (queens' rates, baseline scores), joined in the given order.
 
     Every score comes from the queens' recorded rates, under the point's own
     objective and threshold. Every mean over realizations reduces a
     C-contiguous (R, N_it) array, so numpy adds its rows in index order.
     """
-    rates = np.concatenate([traj.queen_rates for traj, _ in parts])
+    rates = np.concatenate([queen_rates for queen_rates, _ in parts])
     min_rate = min_rate_for_threshold(cfg.theta_dB)
     scores = EvalBatch(ec.objective_kind, rates, min_rate)
     raw, bases = scores.raw, scores.weighted_base  # one array for the rate-sum objectives
@@ -258,16 +256,20 @@ def run_experiment(ec: ExperimentConfig, workers: int = 1) -> ExperimentResult:
             groups.setdefault(key, []).append(len(runnable))
             runnable.append((sweep_value, cfg))
     points: list[SweepPointResult | None] = [None] * len(runnable)
-    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
+    plans = []  # (positions, cfgs, blocks) per group
+    for positions in groups.values():
+        cfgs = [runnable[i][1] for i in positions]
+        # One block per worker, unless that exceeds BLOCK_CAP lanes.
+        n = cfgs[0].realizations
+        size = max(1, min(BLOCK_CAP // len(cfgs), -(-n // workers)))
+        plans.append((positions, cfgs, [range(start, min(start + size, n)) for start in range(0, n, size)]))
+    # A pool may start every worker at its first submit, so it gets no more than a group has blocks.
+    pool_size = min(workers, max((len(blocks) for _, _, blocks in plans), default=0))
+    pool = ProcessPoolExecutor(max_workers=pool_size) if pool_size > 1 else None
     run_map = map if pool is None else pool.map
     try:
-        for positions in groups.values():
+        for positions, cfgs, blocks in plans:
             t0 = time.perf_counter()
-            cfgs = [runnable[i][1] for i in positions]
-            # One block per worker, unless that exceeds BLOCK_CAP lanes.
-            n = cfgs[0].realizations
-            size = max(1, min(BLOCK_CAP // len(cfgs), -(-n // workers)))
-            blocks = [range(start, min(start + size, n)) for start in range(0, n, size)]
             parts = list(run_map(_run_realization, repeat(ec), repeat(cfgs), blocks))
             wall = (time.perf_counter() - t0) / len(positions)
             for p, i in enumerate(positions):

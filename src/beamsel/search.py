@@ -18,8 +18,17 @@ import numpy as np
 
 from .codebook import build_dft_codebook
 from .config import EXHAUSTIVE_CAP, search_space_size
-from .core import ComplexMatrix, DimensionError, SystemConfig, require_valid
-from .metrics import ObjectiveKind, min_rate_for_threshold, pa_output_power, rates, sinr_from_components
+from .core import (
+    ComplexMatrix,
+    DimensionError,
+    ObjectiveKind,
+    SystemConfig,
+    min_rate_for_threshold,
+    pa_output_power,
+    rates,
+    require_valid,
+    sinr_from_components,
+)
 
 
 class SearchSpaceError(ValueError):

@@ -16,10 +16,12 @@ import math
 import numpy as np
 
 from beamsel.codebook import Codebook
-from beamsel.core import ComplexMatrix, DimensionError, db_to_linear
-from beamsel.metrics import (
+from beamsel.core import (
+    ComplexMatrix,
+    DimensionError,
     ObjectiveKind,
     SaturationError,
+    db_to_linear,
     min_rate_for_threshold,
     sinr_from_components,
 )

@@ -25,10 +25,9 @@ from beamsel.channel import (
     stream_rng,
 )
 from beamsel.cli import main as cli_main
-from beamsel.core import SystemConfig, db_to_linear
+from beamsel.core import ObjectiveKind, SystemConfig, db_to_linear, pa_output_power
 from beamsel.config import ExperimentConfig
 from beamsel.harness import convergence_iteration, delay_weighted, run_experiment
-from beamsel.metrics import ObjectiveKind, pa_output_power
 from beamsel.search import EvalBatch, SelectionEvaluator, exhaustive_search, ga_run, mutate, rank_mutation_keys
 from scalar_oracle import outage_throughput, pa_consumed_power, throughput
 

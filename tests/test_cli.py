@@ -1,3 +1,5 @@
+import ast
+import graphlib
 import os
 import subprocess
 import sys
@@ -17,8 +19,7 @@ from beamsel.cli import (
     parse_config,
 )
 from beamsel.config import search_space_size
-from beamsel.core import ConfigError
-from beamsel.metrics import ObjectiveKind
+from beamsel.core import ConfigError, ObjectiveKind
 from beamsel.search import SelectionEvaluator, exhaustive_search, ga_run
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -248,6 +249,22 @@ def test_validating_a_recipe_imports_no_numpy(recipe):
                           capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert "configuration valid" in proc.stdout
+
+
+def test_package_modules_import_one_another_without_a_cycle():
+    # Every relative import in a package module, at any depth (a function-local
+    # import too), is an edge of the module graph; prepare() raises CycleError
+    # naming the modules of a cycle.
+    modules = {path.stem: path for path in (SRC_DIR / "beamsel").glob("*.py")}
+    graph = {}
+    for name, path in modules.items():
+        targets = set()
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                targets.update([node.module.split(".")[0]] if node.module else [a.name for a in node.names])
+        graph[name] = targets & modules.keys()
+    assert graph["cli"] >= {"config", "core", "harness"}  # the walk sees the function-local imports
+    graphlib.TopologicalSorter(graph).prepare()
 
 
 def test_run_command_writes_results(tmp_path, capsys):

@@ -3,6 +3,7 @@ import json
 import math
 import os
 import platform
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 from beamsel import harness
 from beamsel.channel import STREAM_SEARCH, realize_channel, stream_rng
-from beamsel.core import ConfigError, SystemConfig, validate_config
+from beamsel.core import ConfigError, ObjectiveKind, SaturationError, SystemConfig, validate_config
 from beamsel.cli import apply_cli_overrides, parse_config
 from beamsel.config import CONFIG_KEYS, ExperimentConfig, apply_override, apply_settings, coerce_value
 from beamsel.harness import (
@@ -25,7 +26,6 @@ from beamsel.harness import (
     run_experiment,
     write_result_files,
 )
-from beamsel.metrics import ObjectiveKind, SaturationError
 from beamsel.search import STREAM_LAYOUT, SearchSpaceError, SelectionEvaluator, ga_run
 from scalar_oracle import served_stats
 
@@ -487,6 +487,42 @@ def test_group_wall_time_is_split_evenly():
                           sweep_values=(-3.0, 0.0, 3.0), baselines=("random",))
     walls = {pt.wall_seconds for pt in run_experiment(ec).points}
     assert len(walls) == 1 and walls.pop() > 0.0
+
+
+def test_blocks_hand_their_points_only_the_queens_rates():
+    # Each point's part of a block is its threshold's queens' rates and
+    # baseline scores; the queens' selections stay in the block.
+    cfg = _base(N_it=6)
+    cfgs = [replace(cfg, theta_dB=t) for t in (-3.0, 0.0, -3.0)]
+    ec = ExperimentConfig(base=cfg, objective_kind=ObjectiveKind.OUTAGE_THROUGHPUT, baselines=("random",))
+    parts = _run_realization(ec, cfgs, [1, 3])
+    assert len(parts) == len(cfgs)
+    for rates, scores in parts:
+        assert type(rates) is np.ndarray and rates.dtype == np.float64
+        assert rates.shape == (2, cfg.N_it, cfg.N)
+        assert scores["random"].shape == (2,)
+    assert parts[0][0] is parts[2][0]  # one threshold, one array
+
+
+def test_pool_has_no_more_workers_than_blocks(monkeypatch, tmp_path):
+    sizes = []
+
+    class RecordingPool(ProcessPoolExecutor):
+        def __init__(self, max_workers=None, *args, **kwargs):
+            sizes.append(max_workers)
+            super().__init__(max_workers, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    for realizations, pools in ((2, [2]), (1, [])):
+        ec = ExperimentConfig(base=_base(N_it=5, realizations=realizations), sweep_key="P_dB",
+                              sweep_values=(0.0, 10.0), baselines=("random",))
+        sizes.clear()
+        pooled = run_experiment(ec, workers=4)
+        assert sizes == pools, realizations
+        write_result_files(pooled, tmp_path / f"pooled{realizations}")
+        write_result_files(run_experiment(ec), tmp_path / f"serial{realizations}")
+        for csv in (tmp_path / f"serial{realizations}").glob("*.csv"):
+            assert csv.read_bytes() == (tmp_path / f"pooled{realizations}" / csv.name).read_bytes(), csv.name
 
 
 def test_aggregate_is_order_insensitive():

@@ -6,10 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from beamsel.codebook import build_dft_codebook
-from beamsel.core import ComplexMatrix, db_to_linear
-from beamsel.metrics import (
+from beamsel.core import (
+    ComplexMatrix,
     ObjectiveKind,
     SaturationError,
+    db_to_linear,
     min_rate_for_threshold,
     pa_output_power,
     rates,

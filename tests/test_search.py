@@ -9,9 +9,17 @@ from hypothesis import strategies as st
 from beamsel.channel import realize_channel, stream_rng, STREAM_SEARCH
 from beamsel.codebook import build_dft_codebook
 from beamsel.config import search_space_size
-from beamsel.core import ComplexMatrix, DimensionError, SystemConfig, db_to_linear
+from beamsel.core import (
+    ComplexMatrix,
+    DimensionError,
+    ObjectiveKind,
+    SystemConfig,
+    db_to_linear,
+    min_rate_for_threshold,
+    pa_output_power,
+    rates,
+)
 from beamsel.harness import delay_weighted
-from beamsel.metrics import ObjectiveKind, min_rate_for_threshold, pa_output_power, rates
 import beamsel.search as search
 from beamsel.search import (
     EvalBatch,
